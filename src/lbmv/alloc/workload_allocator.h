@@ -54,17 +54,58 @@ struct WorkloadSolve {
 /// returns the solve summary.  Pass \p warm_start_lambda > 0 to start the
 /// Newton iteration there instead of at 2R/S — only valid when
 /// g(warm_start) <= 0, which holds for any multiplier of a superset of the
-/// agents (leave-one-out re-solves warm-start at the full-set lambda*).
+/// agents (leave-one-out fallbacks warm-start at the full-set lambda*).
 WorkloadSolve workload_solve_into(std::span<const double> thetas, double gamma,
                                   double arrival_rate,
                                   std::span<double> rates_out,
                                   double warm_start_lambda = 0.0);
 
+/// Degree d of the leave-one-out Taylor model (DESIGN.md §14).  Fixed: the
+/// coefficient pass, the per-agent polynomial solve and the error bound are
+/// all sized by it at compile time.
+inline constexpr std::size_t kWorkloadLooDegree = 8;
+
+/// Largest a-posteriori relative error bound on L_{-i} the model may return;
+/// an agent whose bound exceeds it takes the exact per-agent Newton instead.
+inline constexpr double kWorkloadLooMaxRelBound = 1e-12;
+
+/// What one leave-one-out plane cost, for the caller's obs probes.
+struct WorkloadLooStats {
+  std::size_t newton_iters = 0;  ///< exact O(n) Newton passes (fallbacks)
+  std::size_t fallbacks = 0;     ///< agents whose model bound failed
+};
+
+/// Fills loo_out[i] = L_{-i}, the optimal total latency of the profile
+/// without agent i, for every agent, given the full-set KKT multiplier
+/// \p lambda (workload_solve_into's WorkloadSolve::lambda).
+///
+/// With x_j(lambda) = (sqrt(1 + a_j lambda) - 1) / (3 gamma), a_j = 3 gamma
+/// / theta_j, one O(n) 4-lane pass builds the Taylor coefficients of
+/// F = sum_j x_j around lambda (fixed lane order: bit-identical on every
+/// vector backend), and each agent then solves T_F(lambda) - x_i(lambda) = R
+/// by Newton on the degree-kWorkloadLooDegree polynomial in O(d) and reads
+/// L_{-i} off the cost model T_G (G' = lambda F') minus its own exact cost.
+/// Every derivative x_j^(k), k >= 1, has sign (-1)^(k+1) and shrinks as
+/// lambda grows, and every lambda_{-i} >= lambda, so the truncation error
+/// has a rigorous bound; a result is accepted only when its a-posteriori
+/// bound is <= kWorkloadLooMaxRelBound relative.  Agents that fail (small n,
+/// or one agent dominating the fleet) take the exact warm-started
+/// per-agent Newton over the rest set.  O(n d) when nothing falls back.
+///
+/// \p scratch holds the rest-set planes of the fallbacks; it grows on the
+/// first fallback and is reused afterwards, so a caller that keeps it
+/// across rounds allocates nothing per round.  Requires n >= 2.
+WorkloadLooStats workload_leave_one_out_into(std::span<const double> thetas,
+                                             double gamma,
+                                             double arrival_rate,
+                                             double lambda,
+                                             std::span<double> loo_out,
+                                             std::vector<double>& scratch);
+
 /// Allocator-interface wrapper.  Requires the WorkloadFamily (the gamma is
 /// read off the family); exact, so the compensation-and-bonus construction
-/// applies.  leave_one_out_into warm-starts each subsystem's Newton at the
-/// full-set multiplier, so the whole vector costs a few O(n) refinement
-/// passes per agent instead of n cold solves.
+/// applies.  leave_one_out_into is one full solve plus
+/// workload_leave_one_out_into.
 class WorkloadAllocator final : public Allocator {
  public:
   [[nodiscard]] model::Allocation allocate(

@@ -1,5 +1,6 @@
 #include "lbmv/cli/commands.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -55,13 +56,62 @@ std::unique_ptr<core::Mechanism> make_mechanism(const std::string& name) {
                    "' (comp-bonus | vcg | archer-tardos | no-payment)");
 }
 
+// Input domain of the linear-family commands, checked once here so that no
+// round has to re-check its outputs.  A round forms 1/t and t x^2, so true
+// values keep well inside the double exponent range, and its latencies and
+// payments scale as rate^2 x max type (times the audit's bid and execution
+// multipliers), so that product keeps ~18 decades of headroom below the
+// largest finite double.
+constexpr double kMinType = 1e-100;
+constexpr double kMaxType = 1e100;
+constexpr double kMaxLatencyScale = 1e290;
+// The simulated commands pre-size their job arenas from rate x horizon.
+constexpr double kMaxSimulatedJobs = 1e8;
+
+std::string num(double v) {
+  std::ostringstream s;
+  s << v;
+  return s.str();
+}
+
+void check_input_domain(const std::vector<double>& types, double rate) {
+  double max_type = 0.0;
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    const double t = types[i];
+    if (!(t >= kMinType && t <= kMaxType)) {
+      throw UsageError("agent C" + std::to_string(i + 1) + " bids " + num(t) +
+                       ", outside the supported range [" + num(kMinType) +
+                       ", " + num(kMaxType) + "]");
+    }
+    max_type = std::max(max_type, t);
+  }
+  if (!(rate > 0.0)) {
+    throw UsageError("--rate must be positive (got " + num(rate) + ")");
+  }
+  if (!(rate * rate * max_type <= kMaxLatencyScale)) {
+    throw UsageError("--rate " + num(rate) +
+                     " is too large: latencies scale as rate^2 x max type = " +
+                     num(rate * rate * max_type) + ", above " +
+                     num(kMaxLatencyScale));
+  }
+}
+
+void check_job_budget(double rate, double horizon) {
+  if (!(horizon > 0.0)) {
+    throw UsageError("--horizon must be positive (got " + num(horizon) + ")");
+  }
+  if (!(rate * horizon <= kMaxSimulatedJobs)) {
+    throw UsageError("--horizon " + num(horizon) + " at --rate " + num(rate) +
+                     " asks for ~" + num(rate * horizon) +
+                     " simulated jobs, above the budget of " +
+                     num(kMaxSimulatedJobs));
+  }
+}
+
 model::SystemConfig config_from_args(const ArgParser& args) {
   const auto types = args.option_as_doubles("types");
   const double rate = args.option_as_double("rate");
-  for (double t : types) {
-    if (t <= 0.0) throw UsageError("--types entries must be positive");
-  }
-  if (rate <= 0.0) throw UsageError("--rate must be positive");
+  check_input_domain(types, rate);
   return model::SystemConfig(types, rate);
 }
 
@@ -204,13 +254,15 @@ int cmd_audit(const std::vector<std::string>& rest, std::ostream& out) {
                    Table::num(report.truthful_utility, 4), best.str(),
                    Table::num(report.max_gain, 6), ok ? "yes" : "NO"});
   }
+  // Every report is computed before anything is printed, so a round that
+  // fails its preconditions leaves no half-written tables behind.
+  const bool participation =
+      core::voluntary_participation_holds(*mechanism, config);
   out << "mechanism: " << mechanism->name()
       << (mechanism->uses_verification() ? " (with verification)" : "")
       << "\n"
       << table.to_markdown() << "voluntary participation: "
-      << (core::voluntary_participation_holds(*mechanism, config) ? "holds"
-                                                                  : "VIOLATED")
-      << "\n";
+      << (participation ? "holds" : "VIOLATED") << "\n";
   return all_ok ? 0 : 1;
 }
 
@@ -316,6 +368,7 @@ int cmd_protocol(const std::vector<std::string>& rest, std::ostream& out) {
   const core::CompBonusMechanism mechanism;
   sim::ProtocolOptions options;
   options.horizon = args.option_as_double("horizon");
+  check_job_budget(config.arrival_rate(), options.horizon);
   options.seed = static_cast<std::uint64_t>(args.option_as_long("seed"));
   const sim::VerifiedProtocol protocol(mechanism, options);
   const auto report = protocol.run_round(
@@ -401,8 +454,9 @@ int cmd_config(const std::vector<std::string>& rest, std::ostream& out) {
   for (const auto& t : doc.at("true_values").as_array()) {
     types.push_back(t.as_number());
   }
-  const model::SystemConfig config(types,
-                                   doc.at("arrival_rate").as_number());
+  const double rate = doc.at("arrival_rate").as_number();
+  check_input_domain(types, rate);
+  const model::SystemConfig config(types, rate);
   model::BidProfile profile = model::BidProfile::truthful(config);
   if (doc.contains("deviations")) {
     for (const auto& d : doc.at("deviations").as_array()) {
@@ -666,6 +720,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     return 0;
   }
   const auto config = config_from_args(args);
+  check_job_budget(config.arrival_rate(), args.option_as_double("horizon"));
   const std::string mode = args.option("snapshot");
   if (mode != "dashboard" && mode != "json" && mode != "prom" &&
       mode != "timeseries") {
@@ -882,6 +937,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t sharded_rounds = 0;
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
+  std::uint64_t loo_fallbacks = 0;
   std::uint64_t delta_rounds = 0;
   std::uint64_t full_rebuilds = 0;
   for (const auto& [name, value] : snap.counters) {
@@ -895,6 +951,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_sharded_rounds_total") sharded_rounds = value;
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
+    if (name == "lbmv_mech_loo_fallbacks_total") loo_fallbacks = value;
     if (name == "lbmv_core_delta_rounds_total") delta_rounds = value;
     if (name == "lbmv_core_full_rebuilds_total") full_rebuilds = value;
   }
@@ -914,7 +971,8 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << simd_rounds << " vectorized rounds (" << sharded_rounds
       << " sharded), " << nonlinear_rounds
       << " fused nonlinear-family rounds (" << newton_iters
-      << " Newton iterations)\n"
+      << " exact Newton iterations, " << loo_fallbacks
+      << " leave-one-out model fallbacks)\n"
       << "delta engine: " << delta_rounds << " O(k) delta rounds absorbed, "
       << full_rebuilds << " exact aggregate rebuilds\n"
       << "trace: " << spans << " spans retained, "

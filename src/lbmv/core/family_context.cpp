@@ -298,9 +298,10 @@ void WorkloadProfileContext::rebuild() {
     actual_ += x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
   }
   if (rule_ != LinearPrRule::kNoPayment) {
-    const alloc::WorkloadAllocator allocator;
-    const model::WorkloadFamily family(gamma_);
-    allocator.leave_one_out_into(family, profile_.bids, arrival_rate_, loo_);
+    loo_.resize(n);
+    std::vector<double> scratch;
+    alloc::workload_leave_one_out_into(profile_.bids, gamma_, arrival_rate_,
+                                       lambda_, loo_, scratch);
   }
 }
 

@@ -17,7 +17,7 @@
 /// closed-form allocation at all, so its context re-runs the damped-Newton
 /// KKT solve per query against a per-call scratch (queries stay safe to
 /// issue concurrently); the leave-one-out optima — deviation-independent —
-/// are precomputed once per commit with warm-started solves.
+/// are precomputed once per commit by alloc::workload_leave_one_out_into.
 ///
 /// Mm1PrProfileContext is exported (not hidden behind the factory) so the
 /// lane-parallel deviation-grid kernels (grid_kernels.h) can read the

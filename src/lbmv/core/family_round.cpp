@@ -484,27 +484,17 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
     actual_total += xi * ((executions[i] * xi) * (1.0 + gamma * xi));
   }
 
-  // Leave-one-out plane: one warm-started monotone Newton per agent.  The
-  // rest-set theta scratch follows BidProfile::without's element order —
-  // start with agent 0 removed, then writing slot i restores agent i and
-  // removes agent i+1 — so one plane serves all n subsystems.
+  // Leave-one-out plane: the family's single O(n d) Taylor-model solver,
+  // exact Newton only for the agents its error bound refuses.
   const double* loo = nullptr;
   if (rule != VectorRule::kNoPayment) {
     ws.leave_one_out.resize(n);
-    ws.family_scratch.resize(2 * (n - 1));
-    const std::span<double> rest_thetas{ws.family_scratch.data(), n - 1};
-    const std::span<double> rest_rates{ws.family_scratch.data() + (n - 1),
-                                       n - 1};
-    for (std::size_t j = 0; j + 1 < n; ++j) rest_thetas[j] = bids[j + 1];
-    for (std::size_t j = 0; j < n; ++j) {
-      // g_rest(lambda*) = -x_j(lambda*) <= 0: the full-set multiplier is a
-      // valid monotone warm start for every subsystem.
-      const alloc::WorkloadSolve rest = alloc::workload_solve_into(
-          rest_thetas, gamma, arrival_rate, rest_rates, full.lambda);
-      ws.leave_one_out[j] = rest.optimal_latency;
-      stats.newton_iters += rest.iterations;
-      if (j + 1 < n) rest_thetas[j] = bids[j];
-    }
+    const alloc::WorkloadLooStats loo_stats =
+        alloc::workload_leave_one_out_into(bids, gamma, arrival_rate,
+                                           full.lambda, ws.leave_one_out,
+                                           ws.family_scratch);
+    stats.newton_iters += loo_stats.newton_iters;
+    stats.loo_fallbacks += loo_stats.fallbacks;
     loo = ws.leave_one_out.data();
   }
 

@@ -35,10 +35,12 @@
 /// l(x) = theta x (1 + gamma x) is always interior, so the fused round
 /// always succeeds: one monotone damped-free Newton solve on the KKT
 /// conservation residual for the full set (alloc/workload_allocator.h),
-/// then n warm-started solves for the leave-one-out plane — every residual
-/// evaluation a 4-lane sweep — and one fused publish pass.  The Newton
-/// iteration count is returned so the caller can feed the
-/// lbmv_mech_newton_iters_total probe.
+/// then the leave-one-out plane from alloc::workload_leave_one_out_into —
+/// an O(n d) Taylor model of the full-set curves, exact per-agent Newton
+/// only where its error bound fails — and one fused publish pass.  The
+/// exact Newton iteration count and the model's fallbacks are returned so
+/// the caller can feed the lbmv_mech_newton_iters_total and
+/// lbmv_mech_loo_fallbacks_total probes.
 ///
 /// Both engines run the agent axis serial: at the n these families target
 /// the 4-lane kernels are already memory-lean, and a serial fixed-order
@@ -62,7 +64,8 @@ class RoundWorkspace;  // batch.h
 
 /// What a fused nonlinear round actually did, for the caller's obs probes.
 struct FamilyRoundStats {
-  std::size_t newton_iters = 0;  ///< KKT Newton iterations (workload only)
+  std::size_t newton_iters = 0;   ///< exact O(n) KKT Newton iterations
+  std::size_t loo_fallbacks = 0;  ///< leave-one-out agents off the model
 };
 
 /// Run one fused M/M/1 round end to end (validation, closed-form

@@ -142,6 +142,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
         probes.rounds.inc();
         probes.nonlinear_rounds.inc();
         probes.newton_iters.inc(stats.newton_iters);
+        probes.loo_fallbacks.inc(stats.loo_fallbacks);
         probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
         for (const auto& agent : out.agents) {
           probes.round_payment.record(agent.payment);

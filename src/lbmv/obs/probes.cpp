@@ -36,6 +36,7 @@ MechProbes& MechProbes::get() {
     p.sharded_rounds = r.counter("lbmv_mech_sharded_rounds_total");
     p.nonlinear_rounds = r.counter("lbmv_mech_nonlinear_rounds_total");
     p.newton_iters = r.counter("lbmv_mech_newton_iters_total");
+    p.loo_fallbacks = r.counter("lbmv_mech_loo_fallbacks_total");
     p.audit_evaluations = r.counter("lbmv_mech_audit_evaluations_total");
     p.loo_batches = r.counter("lbmv_mech_leave_one_out_batches_total");
     p.round_payment = r.histogram("lbmv_mech_round_payment");

@@ -28,8 +28,14 @@
 ///                                             axis fanned over the pool
 ///     lbmv_mech_nonlinear_rounds_total        rounds on the fused nonlinear
 ///                                             engines (DESIGN.md §14)
-///     lbmv_mech_newton_iters_total            KKT Newton iterations spent
-///                                             by the workload engine
+///     lbmv_mech_newton_iters_total            exact O(n) KKT Newton passes
+///                                             of the workload engine: the
+///                                             full solve plus leave-one-out
+///                                             fallbacks (never the O(d)
+///                                             model solves)
+///     lbmv_mech_loo_fallbacks_total           workload leave-one-out agents
+///                                             whose Taylor-model bound failed
+///                                             (exact Newton instead)
 ///     lbmv_mech_audit_evaluations_total       audit grid points evaluated
 ///     lbmv_mech_leave_one_out_batches_total   leave-one-out batch solves
 ///     lbmv_core_delta_rounds_total            delta batches absorbed by the
@@ -97,6 +103,7 @@ struct MechProbes {
   Counter sharded_rounds;
   Counter nonlinear_rounds;
   Counter newton_iters;
+  Counter loo_fallbacks;
   Counter audit_evaluations;
   Counter loo_batches;
   Histogram round_payment;

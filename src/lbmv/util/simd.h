@@ -116,6 +116,10 @@ inline void store(double* p, DVec a) { _mm256_storeu_pd(p, a.v); }
 [[nodiscard]] inline bool mask_all_true(DVec m) {
   return _mm256_movemask_pd(m.v) == 0xF;
 }
+/// The lane masks' sign bits as a 4-bit integer, lane i in bit i.
+[[nodiscard]] inline unsigned mask_bits(DVec m) {
+  return static_cast<unsigned>(_mm256_movemask_pd(m.v));
+}
 
 /// Lane-wise maximum with the scalar rule `a > b ? a : b` (matches
 /// _mm256_max_pd: on a NaN lane the second operand is returned, and
@@ -260,6 +264,15 @@ inline void store(double* p, DVec a) {
     ok = ok && (std::bit_cast<std::uint64_t>(m.v[i]) >> 63) != 0;
   }
   return ok;
+}
+/// The lane masks' sign bits as a 4-bit integer, lane i in bit i.
+[[nodiscard]] inline unsigned mask_bits(DVec m) {
+  unsigned bits = 0;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    bits |= static_cast<unsigned>(std::bit_cast<std::uint64_t>(m.v[i]) >> 63)
+            << i;
+  }
+  return bits;
 }
 
 /// Lane-wise maximum with the scalar rule `a > b ? a : b` (matches

@@ -161,6 +161,52 @@ TEST(Cli, UsageErrorsAreExitCode2) {
   EXPECT_EQ(cli({"config"}).code, 2);  // --file required
 }
 
+// Input-domain defects, rejected at the CLI boundary with typed errors.
+
+TEST(Cli, RunRejectsARateWhoseLatenciesOverflow) {
+  // rate^2 overflows: the round used to print inf/-nan payments, exit 0.
+  const auto result = cli({"run", "--types", "1,2", "--rate", "1e308"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_EQ(result.out, "");
+  EXPECT_NE(result.err.find("--rate 1e+308"), std::string::npos)
+      << result.err;
+  EXPECT_EQ(cli({"run", "--types", "1,2", "--rate", "inf"}).code, 2);
+  EXPECT_EQ(cli({"run", "--types", "1,2", "--rate", "1e100"}).code, 0);
+}
+
+TEST(Cli, RunRejectsASubnormalBidNamingTheAgent) {
+  const auto result = cli({"run", "--types", "1e-320,2"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_NE(result.err.find("agent C1 bids 9.99989e-321"), std::string::npos)
+      << result.err;
+  const auto huge = cli({"run", "--types", "1,1e200"});
+  EXPECT_EQ(huge.code, 2);
+  EXPECT_NE(huge.err.find("agent C2"), std::string::npos) << huge.err;
+}
+
+TEST(Cli, ProtocolRejectsAHorizonBeyondTheJobBudget) {
+  // rate x horizon = 3e18 jobs: the arena pre-sizing used to die on an
+  // untyped vector::reserve.
+  const auto result = cli({"protocol", "--types", "1,2", "--horizon", "1e18"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_EQ(result.out, "");
+  EXPECT_NE(result.err.find("--horizon 1e+18"), std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find("budget"), std::string::npos) << result.err;
+  EXPECT_EQ(cli({"obs", "--horizon", "1e18"}).code, 2);
+  EXPECT_EQ(cli({"protocol", "--horizon", "-5"}).code, 2);
+}
+
+TEST(Cli, AuditFailsBeforePrintingAnyTable) {
+  // The participation report cannot resolve agent 2's leave-one-out optimum
+  // (S - 1/t cancels): the command must fail before printing the
+  // truthfulness table, not abort halfway through its output.
+  const auto result = cli({"audit", "--types", "1,1e-12"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_EQ(result.out, "");
+  EXPECT_NE(result.err.find("agent 1 of 2"), std::string::npos) << result.err;
+}
+
 TEST(Cli, FrugalityMatchesPaperRatio) {
   const auto result =
       cli({"frugality", "--types", "1,1,2,2,2,5,5,5,5,5,10,10,10,10,10,10",

@@ -405,6 +405,12 @@ TEST(NamingConvention, EveryRegisteredFamilyFollowsTheConvention) {
     (void)value;
     EXPECT_TRUE(std::regex_match(family(name), counter_re)) << name;
   }
+  // The workload engine's two leave-one-out counters register with the
+  // mechanism bundle even when no workload round ran.
+  for (const char* name :
+       {"lbmv_mech_newton_iters_total", "lbmv_mech_loo_fallbacks_total"}) {
+    EXPECT_EQ(snap.counters.count(name), 1u) << name;
+  }
   for (const auto& [name, value] : snap.gauges) {
     (void)value;
     EXPECT_TRUE(std::regex_match(family(name), value_re)) << name;

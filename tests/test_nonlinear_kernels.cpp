@@ -9,6 +9,10 @@
 //     (kVectorized) and generic (kScalar) paths.
 //   * The workload-family Newton solve agrees with a long-double bisection
 //     oracle on the KKT multiplier to 1e-9 relative.
+//   * The workload leave-one-out Taylor model agrees with an exact
+//     per-agent Newton oracle and a long-double bisection oracle to 1e-9,
+//     falls back exactly where its error bound fails (tiny fleets, one
+//     dominant agent), and is the one leave-one-out every path shares.
 //   * Fused rounds agree with the generic virtual-dispatch path to 1e-9
 //     relative across both families, every payment rule, and lane-tail
 //     sizes.
@@ -21,8 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -272,6 +279,213 @@ TEST(WorkloadNewton, MatchesLongDoubleBisectionOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// Workload leave-one-out: the O(n d) Taylor model vs exact oracles.
+
+/// Test-only exact oracle: one warm-started Newton solve per rest set, the
+/// O(n^2) loop the model replaces.
+std::vector<double> exact_leave_one_out(std::span<const double> thetas,
+                                        double gamma, double rate) {
+  const std::size_t n = thetas.size();
+  std::vector<double> rates(n);
+  const double lambda =
+      lbmv::alloc::workload_solve_into(thetas, gamma, rate, rates).lambda;
+  std::vector<double> loo(n);
+  std::vector<double> rest;
+  std::vector<double> rest_rates(n - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    rest.assign(thetas.begin(), thetas.end());
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    loo[i] = lbmv::alloc::workload_solve_into(rest, gamma, rate, rest_rates,
+                                              lambda)
+                 .optimal_latency;
+  }
+  return loo;
+}
+
+/// Long-double bisection oracle for the optimal total latency of
+/// \p thetas without agent \p skip.
+double bisection_loo(std::span<const double> thetas, std::size_t skip,
+                     double gamma, double arrival_rate) {
+  const long double g = static_cast<long double>(gamma);
+  const long double g3 = 3.0L * g;
+  const auto rate_at = [&](long double lambda, double theta) {
+    return (std::sqrt(1.0L + g3 * lambda / static_cast<long double>(theta)) -
+            1.0L) /
+           g3;
+  };
+  const auto residual = [&](long double lambda) {
+    long double sum = 0.0L;
+    for (std::size_t j = 0; j < thetas.size(); ++j) {
+      if (j != skip) sum += rate_at(lambda, thetas[j]);
+    }
+    return sum - static_cast<long double>(arrival_rate);
+  };
+  long double inv_sum = 0.0L;
+  for (std::size_t j = 0; j < thetas.size(); ++j) {
+    if (j != skip) inv_sum += 1.0L / thetas[j];
+  }
+  long double lo = 2.0L * static_cast<long double>(arrival_rate) / inv_sum;
+  long double hi = 2.0L * lo;
+  while (residual(hi) <= 0.0L) hi *= 2.0L;
+  for (int it = 0; it < 200; ++it) {
+    const long double mid = 0.5L * (lo + hi);
+    if (mid == lo || mid == hi) break;
+    (residual(mid) <= 0.0L ? lo : hi) = mid;
+  }
+  const long double lambda = 0.5L * (lo + hi);
+  long double cost = 0.0L;
+  for (std::size_t j = 0; j < thetas.size(); ++j) {
+    if (j == skip) continue;
+    const long double x = rate_at(lambda, thetas[j]);
+    cost += static_cast<long double>(thetas[j]) * x * x * (1.0L + g * x);
+  }
+  return static_cast<double>(cost);
+}
+
+/// Log-uniform types over [1, spread]; with \p dominant, agent n/2 is made
+/// 1e4x faster than the fastest of the rest, so it carries most of the load.
+std::vector<double> spread_types(std::size_t n, double spread, bool dominant,
+                                 std::uint64_t seed) {
+  lbmv::util::Rng rng(seed);
+  std::vector<double> t(n);
+  for (double& ti : t) ti = std::exp(rng.uniform(0.0, std::log(spread)));
+  if (dominant) t[n / 2] = 1e-4;
+  return t;
+}
+
+struct LooRun {
+  std::vector<double> loo;
+  lbmv::alloc::WorkloadLooStats stats;
+};
+
+LooRun model_leave_one_out(std::span<const double> thetas, double gamma,
+                           double rate) {
+  std::vector<double> rates(thetas.size());
+  const double lambda =
+      lbmv::alloc::workload_solve_into(thetas, gamma, rate, rates).lambda;
+  LooRun run;
+  run.loo.resize(thetas.size());
+  std::vector<double> scratch;
+  run.stats = lbmv::alloc::workload_leave_one_out_into(
+      thetas, gamma, rate, lambda, run.loo, scratch);
+  return run;
+}
+
+TEST(WorkloadLeaveOneOut, TaylorModelMatchesExactAndBisectionOracles) {
+  const double gamma = 0.5;
+  for (std::size_t n : {2u, 3u, 8u, 64u, 256u, 1024u}) {
+    for (double spread : {10.0, 1e3, 1e6}) {
+      for (double per_agent : {0.01, 1.0, 100.0}) {
+        for (bool dominant : {false, true}) {
+          const auto thetas = spread_types(n, spread, dominant, 11 * n + 3);
+          const double rate = per_agent * static_cast<double>(n);
+          const LooRun run = model_leave_one_out(thetas, gamma, rate);
+          const auto exact = exact_leave_one_out(thetas, gamma, rate);
+          // Bisection is O(n) per agent at ~64 long-double iterations: every
+          // agent at small n, a stride plus the dominant agent above.
+          const std::size_t stride = n <= 64 ? 1 : n / 16;
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_LE(rel_err(run.loo[i], exact[i]), 1e-9)
+                << "exact n=" << n << " spread=" << spread
+                << " R/n=" << per_agent << " dominant=" << dominant
+                << " agent " << i;
+            if (i % stride != 0 && !(dominant && i == n / 2)) continue;
+            EXPECT_LE(rel_err(run.loo[i],
+                              bisection_loo(thetas, i, gamma, rate)),
+                      1e-9)
+                << "bisection n=" << n << " spread=" << spread
+                << " R/n=" << per_agent << " dominant=" << dominant
+                << " agent " << i;
+          }
+          if (dominant) {
+            // Removing the dominant agent moves the multiplier far outside
+            // the model's reach: that agent must take the exact fallback.
+            EXPECT_GE(run.stats.fallbacks, 1u) << "n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(WorkloadLeaveOneOut, FallbackEngagesOnlyWhereTheBoundFails) {
+  const double gamma = 0.5;
+  // Tiny fleets: each departure shifts the multiplier by O(1), beyond what
+  // a degree-8 model resolves to 1e-12.
+  for (std::size_t n : {2u, 3u}) {
+    const auto thetas = spread_types(n, 10.0, false, 5);
+    const LooRun run =
+        model_leave_one_out(thetas, gamma, static_cast<double>(n));
+    EXPECT_GE(run.stats.fallbacks, 1u) << "n=" << n;
+    EXPECT_GT(run.stats.newton_iters, 0u) << "n=" << n;
+  }
+  // Moderate spread at n >= 64: every departure is a small perturbation and
+  // no agent needs the exact Newton.
+  for (std::size_t n : {64u, 256u, 1024u}) {
+    for (double per_agent : {0.01, 1.0, 100.0}) {
+      const auto thetas = spread_types(n, 10.0, false, 7 * n);
+      const LooRun run = model_leave_one_out(
+          thetas, gamma, per_agent * static_cast<double>(n));
+      EXPECT_EQ(run.stats.fallbacks, 0u) << "n=" << n << " R/n=" << per_agent;
+      EXPECT_EQ(run.stats.newton_iters, 0u)
+          << "n=" << n << " R/n=" << per_agent;
+    }
+  }
+}
+
+TEST(WorkloadLeaveOneOut, PlaneBitsArePinnedAcrossVectorBackends) {
+  // The coefficient sums run in a fixed 4-lane order and every other step
+  // is lane-wise IEEE arithmetic, so the plane's bits are the same under
+  // AVX2 and the emulated backend (LBMV_SIMD=OFF).  Inputs avoid libm
+  // transcendentals, so the pinned digest holds on every platform; it
+  // changes only when the algorithm does.
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over the bits
+  std::size_t fallbacks = 0;
+  for (std::size_t n : {3u, 64u, 257u}) {
+    for (bool dominant : {false, true}) {
+      std::vector<double> thetas(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        thetas[i] = 1.0 + static_cast<double>(i * 37 % 101) / 10.0;
+      }
+      if (dominant) thetas[n / 2] = 1e-4;
+      const LooRun run =
+          model_leave_one_out(thetas, 0.5, static_cast<double>(n));
+      fallbacks += run.stats.fallbacks;
+      for (double v : run.loo) {
+        digest ^= std::bit_cast<std::uint64_t>(v);
+        digest *= 1099511628211ull;
+      }
+    }
+  }
+  EXPECT_EQ(fallbacks, 6u);
+  EXPECT_EQ(digest, 0xf3b0bd661037545aull);
+}
+
+TEST(WorkloadLeaveOneOut, AllocatorAndFusedRoundShareTheModel) {
+  // One leave-one-out for the family: the allocator interface, the fused
+  // round's bonus plane, and the direct call agree bit for bit.
+  const WorkloadFamily family(0.5);
+  const auto thetas = spread_types(256, 10.0, false, 41);
+  const double rate = 256.0;
+  const LooRun direct = model_leave_one_out(thetas, 0.5, rate);
+  std::vector<double> via_allocator;
+  lbmv::alloc::WorkloadAllocator().leave_one_out_into(family, thetas, rate,
+                                                      via_allocator);
+  BackendGuard guard;
+  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
+  const CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::WorkloadAllocator>());
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  mechanism.run_into(family, rate, thetas, thetas, out, ws);
+  ASSERT_EQ(ws.leave_one_out.size(), thetas.size());
+  for (std::size_t i = 0; i < thetas.size(); ++i) {
+    EXPECT_EQ(via_allocator[i], direct.loo[i]) << "agent " << i;
+    EXPECT_EQ(ws.leave_one_out[i], direct.loo[i]) << "agent " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Fused vs generic differential across rules, families, and lane tails.
 
 TEST(FusedDifferential, Mm1FusedRoundsMatchGenericPath) {
@@ -406,6 +620,40 @@ TEST(FamilyAudit, Mm1AuditAllTruthfulDominantAndThreadInvariant) {
       EXPECT_EQ(serial_reports[i].grid[k].utility,
                 parallel_reports[i].grid[k].utility)
           << "agent " << i << " grid point " << k;
+    }
+  }
+}
+
+TEST(FamilyAudit, WorkloadModelAuditBitIdenticalAcrossThreadCounts) {
+  // n = 64 at moderate spread: every leave-one-out optimum comes off the
+  // Taylor model (no fallbacks), and the audit reports must not depend on
+  // how the agents are spread over 1, 2 or 8 worker threads.
+  const auto types = spread_types(64, 10.0, false, 77);
+  const SystemConfig config(types, 64.0,
+                            std::make_shared<const WorkloadFamily>(0.5));
+  const CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::WorkloadAllocator>());
+  const lbmv::core::TruthfulnessAuditor auditor(mechanism);
+  lbmv::core::AuditOptions options;
+  options.bid_multipliers = {0.8, 1.0, 1.25};
+  options.exec_multipliers = {1.0, 1.5};
+  options.parallel = false;
+  options.keep_grid = true;
+  const auto serial = auditor.audit_all(config, options);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    lbmv::util::ThreadPool pool(threads);
+    std::vector<lbmv::core::AuditReport> reports(config.size());
+    pool.parallel_for(0, config.size(), [&](std::size_t i) {
+      reports[i] = auditor.audit_agent(config, i, options);
+    });
+    for (std::size_t i = 0; i < config.size(); ++i) {
+      EXPECT_EQ(reports[i].truthful_utility, serial[i].truthful_utility)
+          << threads << " threads, agent " << i;
+      ASSERT_EQ(reports[i].grid.size(), serial[i].grid.size());
+      for (std::size_t k = 0; k < serial[i].grid.size(); ++k) {
+        EXPECT_EQ(reports[i].grid[k].utility, serial[i].grid[k].utility)
+            << threads << " threads, agent " << i << " grid point " << k;
+      }
     }
   }
 }

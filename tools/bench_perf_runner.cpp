@@ -224,6 +224,27 @@ double seconds_per_call(F&& f, double min_seconds = 0.2, int min_reps = 5) {
   return elapsed / reps;
 }
 
+/// Exact leave-one-out baseline for the workload family: one warm-started
+/// Newton solve per rest set in BidProfile::without order — the O(n^2)
+/// loop alloc::workload_leave_one_out_into replaced, kept here as the
+/// reference its speedup and differential are measured against.
+void exact_workload_leave_one_out(std::span<const double> thetas, double gamma,
+                                  double arrival_rate, double lambda,
+                                  std::vector<double>& rest,
+                                  std::vector<double>& rest_rates,
+                                  std::vector<double>& out) {
+  const std::size_t n = thetas.size();
+  rest.assign(thetas.begin() + 1, thetas.end());
+  rest_rates.resize(n - 1);
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = lbmv::alloc::workload_solve_into(rest, gamma, arrival_rate,
+                                              rest_rates, lambda)
+                 .optimal_latency;
+    if (i + 1 < n) rest[i] = thetas[i];
+  }
+}
+
 struct Result {
   std::string name;
   std::size_t n;
@@ -1326,7 +1347,71 @@ int main(int argc, char** argv) {
     }
     lbmv::core::set_kernel_backend(entry_backend);
 
+    // Workload leave-one-out plane: the O(n d) Taylor-model solver vs the
+    // exact per-agent Newton baseline above, same profile, same full-set
+    // multiplier, same run.  The baseline is O(n^2): at n = 10^4 it is
+    // timed over a single call.
+    JsonValue::Array loo_series;
+    double loo_max_err = 0.0;
+    double loo_speedup_n1024 = 0.0;
+    for (std::size_t n : {std::size_t{256}, std::size_t{1024},
+                          std::size_t{10'000}}) {
+      const auto thetas = narrow_types(n, 61);
+      const double rate = static_cast<double>(n);
+      std::vector<double> rates(n);
+      const double lambda =
+          lbmv::alloc::workload_solve_into(thetas, gamma, rate, rates).lambda;
+      std::vector<double> rest;
+      std::vector<double> rest_rates;
+      std::vector<double> exact;
+      const auto run_exact = [&] {
+        exact_workload_leave_one_out(thetas, gamma, rate, lambda, rest,
+                                     rest_rates, exact);
+      };
+      double exact_secs = 0.0;
+      if (n >= 10'000) {
+        const auto start = std::chrono::steady_clock::now();
+        run_exact();
+        exact_secs = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+      } else {
+        exact_secs = seconds_per_call(run_exact, tmin, treps);
+      }
+      std::vector<double> model(n);
+      std::vector<double> scratch;
+      lbmv::alloc::WorkloadLooStats loo_stats;
+      const double model_secs = seconds_per_call(
+          [&] {
+            loo_stats = lbmv::alloc::workload_leave_one_out_into(
+                thetas, gamma, rate, lambda, model, scratch);
+          },
+          tmin, treps);
+      double err = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        err = std::max(err, std::fabs(model[i] - exact[i]) /
+                                std::max(1.0, std::fabs(exact[i])));
+      }
+      loo_max_err = std::max(loo_max_err, err);
+      const double speedup = exact_secs / model_secs;
+      if (n == 1024) loo_speedup_n1024 = speedup;
+      JsonValue::Object entry;
+      entry["n"] = static_cast<double>(n);
+      entry["exact_loo_us"] = exact_secs * 1e6;
+      entry["model_loo_us"] = model_secs * 1e6;
+      entry["workload_loo_speedup"] = speedup;
+      entry["fallbacks"] = static_cast<double>(loo_stats.fallbacks);
+      entry["max_rel_err"] = err;
+      loo_series.emplace_back(std::move(entry));
+      std::cout << "workload_loo n=" << n << ": exact per-agent Newton "
+                << exact_secs * 1e6 << " us, Taylor model "
+                << model_secs * 1e6 << " us (" << speedup << "x, "
+                << loo_stats.fallbacks << " fallbacks, max rel err " << err
+                << ")\n";
+    }
+
     if (mm1_max_err >= 1e-9) nonlinear_check_pass = false;
+    if (loo_max_err >= 1e-9) nonlinear_check_pass = false;
     if (workload_max_err >= 1e-9) nonlinear_check_pass = false;
     if (bisect_max_err >= 1e-9) nonlinear_check_pass = false;
     if (mm1_speedup_n1024 > 0.0) {
@@ -1336,6 +1421,9 @@ int main(int argc, char** argv) {
     nonlinear_round["mm1_differential_max_rel_err"] = mm1_max_err;
     nonlinear_round["workload_differential_max_rel_err"] = workload_max_err;
     nonlinear_round["newton_vs_bisection_max_rel_err"] = bisect_max_err;
+    nonlinear_round["workload_loo_series"] = std::move(loo_series);
+    nonlinear_round["workload_loo_differential_max_rel_err"] = loo_max_err;
+    nonlinear_round["workload_loo_speedup"] = loo_speedup_n1024;
     nonlinear_round["fused_rounds_probed"] =
         static_cast<double>(fused_rounds_probed);
     nonlinear_round["newton_iters_probed"] =
@@ -1355,10 +1443,16 @@ int main(int argc, char** argv) {
         "newton_vs_bisection re-solves the workload KKT system with a "
         "long-double bisection oracle; probe fields are from one recorded "
         "fused round per family (outside the timed regions) at the largest "
-        "n, asserting the fused engines actually engaged";
+        "n, asserting the fused engines actually engaged; the fused and "
+        "generic workload rounds share one leave-one-out solver, so "
+        "workload_differential no longer compares two implementations of "
+        "it; workload_loo_series times that solver against the exact "
+        "per-agent Newton baseline kept in this runner (single call at "
+        "n=10^4), and workload_loo_speedup is its n=1024 row";
     std::cout << "nonlinear cross-check: mm1 max rel err " << mm1_max_err
               << ", workload " << workload_max_err << ", bisection "
-              << bisect_max_err << " -> "
+              << bisect_max_err << ", leave-one-out model " << loo_max_err
+              << " -> "
               << (nonlinear_check_pass ? "pass" : "FAIL") << "\n";
   }
 
