@@ -28,6 +28,29 @@ double MechanismOutcome::total_valuation_magnitude() const {
   return s;
 }
 
+namespace {
+
+/// The telemetry every monitored round records, whichever engine ran it:
+/// the round counter, the heap allocations the engine skipped, the
+/// per-agent payment and bonus histograms (batched through stack chunks,
+/// no per-round heap scratch) and the invariant monitors.  Callers gate
+/// on obs::enabled() and bump their engine-specific counters themselves.
+void observe_round(obs::MechProbes& probes, std::span<const double> bids,
+                   std::span<const double> executions, double arrival_rate,
+                   const MechanismOutcome& out, std::uint64_t allocs_avoided,
+                   const RoundInvariantOptions& invariants) {
+  probes.rounds.inc();
+  if (allocs_avoided != 0) probes.allocs_avoided.inc(allocs_avoided);
+  const std::size_t n = out.agents.size();
+  obs::record_each(probes.round_payment, n,
+                   [&](std::size_t i) { return out.agents[i].payment; });
+  obs::record_each(probes.round_bonus, n,
+                   [&](std::size_t i) { return out.agents[i].bonus; });
+  check_round_invariants(bids, executions, arrival_rate, out, invariants);
+}
+
+}  // namespace
+
 Mechanism::Mechanism(std::shared_ptr<const alloc::Allocator> allocator)
     : allocator_(std::move(allocator)) {
   LBMV_REQUIRE(allocator_ != nullptr, "mechanism requires an allocator");
@@ -71,27 +94,21 @@ void Mechanism::run_into(const model::LatencyFamily& family,
         rule, arrival_rate, bids, executions, out, ws, options);
     if (obs::enabled()) {
       obs::MechProbes& probes = obs::MechProbes::get();
-      probes.rounds.inc();
       probes.linear_fast_rounds.inc();
-      probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
       probes.simd_rounds.inc();
       if (stats.shards > 1) {
         probes.sharded_rounds.inc();
         probes.shard_count.record(static_cast<double>(stats.shards));
       }
-      for (const auto& agent : out.agents) {
-        probes.round_payment.record(agent.payment);
-        probes.round_bonus.record(agent.bonus);
-      }
       // The vectorized engine only engages on PR-on-linear rounds, so the
       // full monitor set (feasibility, decomposition, participation, KKT)
       // is armed.
-      check_round_invariants(
-          bids, executions, arrival_rate, out,
-          RoundInvariantOptions{
-              /*linear_pr=*/true,
-              /*participation_guaranteed=*/
-              guarantees_voluntary_participation()});
+      observe_round(probes, bids, executions, arrival_rate, out,
+                    3 * static_cast<std::uint64_t>(n),
+                    RoundInvariantOptions{
+                        /*linear_pr=*/true,
+                        /*participation_guaranteed=*/
+                        guarantees_voluntary_participation()});
     }
     return;
   }
@@ -113,20 +130,15 @@ void Mechanism::run_into(const model::LatencyFamily& family,
       if (run_mm1_vectorized(rule, arrival_rate, bids, executions, out, ws)) {
         if (obs::enabled()) {
           obs::MechProbes& probes = obs::MechProbes::get();
-          probes.rounds.inc();
           probes.nonlinear_rounds.inc();
-          // The generic path would have built 2n latency functions for the
-          // totals plus n more in the payment rule's compensation terms.
-          probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-          for (const auto& agent : out.agents) {
-            probes.round_payment.record(agent.payment);
-            probes.round_bonus.record(agent.bonus);
-          }
           RoundInvariantOptions opts;
           opts.participation_guaranteed =
               guarantees_voluntary_participation();
           opts.mm1_exact = true;
-          check_round_invariants(bids, executions, arrival_rate, out, opts);
+          // The generic path would have built 2n latency functions for the
+          // totals plus n more in the payment rule's compensation terms.
+          observe_round(probes, bids, executions, arrival_rate, out,
+                        3 * static_cast<std::uint64_t>(n), opts);
         }
         return;
       }
@@ -139,20 +151,15 @@ void Mechanism::run_into(const model::LatencyFamily& family,
           workload, rule, arrival_rate, bids, executions, out, ws);
       if (obs::enabled()) {
         obs::MechProbes& probes = obs::MechProbes::get();
-        probes.rounds.inc();
         probes.nonlinear_rounds.inc();
         probes.newton_iters.inc(stats.newton_iters);
         probes.loo_fallbacks.inc(stats.loo_fallbacks);
-        probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-        for (const auto& agent : out.agents) {
-          probes.round_payment.record(agent.payment);
-          probes.round_bonus.record(agent.bonus);
-        }
         RoundInvariantOptions opts;
         opts.participation_guaranteed = guarantees_voluntary_participation();
         opts.workload_exact = true;
         opts.workload_gamma = workload.gamma();
-        check_round_invariants(bids, executions, arrival_rate, out, opts);
+        observe_round(probes, bids, executions, arrival_rate, out,
+                      3 * static_cast<std::uint64_t>(n), opts);
       }
       return;
     }
@@ -238,17 +245,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   }
   if (obs::enabled()) {
     obs::MechProbes& probes = obs::MechProbes::get();
-    probes.rounds.inc();
-    if (ws.linear_fast) {
-      probes.linear_fast_rounds.inc();
-      // The scalar path would have built 2n latency functions here plus n
-      // more in the payment rule's compensation terms.
-      probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-    }
-    for (const auto& agent : out.agents) {
-      probes.round_payment.record(agent.payment);
-      probes.round_bonus.record(agent.bonus);
-    }
+    if (ws.linear_fast) probes.linear_fast_rounds.inc();
     RoundInvariantOptions opts;
     opts.linear_pr = ws.linear_fast && ws.pr_closed_form;
     opts.participation_guaranteed = guarantees_voluntary_participation();
@@ -269,7 +266,11 @@ void Mechanism::run_into(const model::LatencyFamily& family,
             static_cast<const model::WorkloadFamily&>(family).gamma();
       }
     }
-    check_round_invariants(bids, executions, arrival_rate, out, opts);
+    // The scalar path would have built 2n latency functions here plus n
+    // more in the payment rule's compensation terms.
+    observe_round(probes, bids, executions, arrival_rate, out,
+                  ws.linear_fast ? 3 * static_cast<std::uint64_t>(n) : 0,
+                  opts);
   }
 }
 

@@ -259,10 +259,42 @@ void Registry::histogram_record(std::uint32_t index, double value) {
   atomic_max(cell.max, value);
 }
 
+void Registry::histogram_record_batch(std::uint32_t index,
+                                      std::span<const double> values) {
+  Shard& shard = local_shard();
+  HistogramCell& cell = shard.cell(shard.histograms, index);
+  std::uint64_t count = 0;
+  std::uint64_t nans = 0;
+  double sum = 0.0;
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  for (const double value : values) {
+    if (std::isnan(value)) {
+      ++nans;
+      continue;
+    }
+    cell.buckets[histogram_bucket(value)].fetch_add(
+        1, std::memory_order_relaxed);
+    ++count;
+    sum += value;
+    mn = std::min(mn, value);
+    mx = std::max(mx, value);
+  }
+  if (nans != 0) cell.nan_count.fetch_add(nans, std::memory_order_relaxed);
+  if (count == 0) return;
+  cell.count.fetch_add(count, std::memory_order_relaxed);
+  atomic_add(cell.sum, sum);
+  atomic_min(cell.min, mn);
+  atomic_max(cell.max, mx);
+}
+
 void Counter::detail_add(std::uint64_t n) { registry_->counter_add(index_, n); }
 void Gauge::detail_add(double delta) { registry_->gauge_add(index_, delta); }
 void Histogram::detail_record(double value) {
   registry_->histogram_record(index_, value);
+}
+void Histogram::detail_record_batch(std::span<const double> values) {
+  registry_->histogram_record_batch(index_, values);
 }
 
 MetricsSnapshot Registry::snapshot() const {

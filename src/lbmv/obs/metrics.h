@@ -34,18 +34,34 @@
 ///
 /// With recording off (`obs::enabled()` false) a probe is one relaxed
 /// load and a predicted branch; compiled out (`LBMV_OBS=0`) it is
-/// nothing.  With recording on, a counter increment is a thread-local
-/// cache lookup plus one relaxed fetch_add.
+/// nothing.  With recording on, a single `inc`/`add`/`record` is a
+/// thread-local shard lookup plus one relaxed fetch_add (a histogram
+/// sample adds CAS updates of sum, min and max).
+///
+/// Hot loops do not pay that per event.  They keep plain per-instance
+/// tallies while `enabled()` is true and push them through the batch
+/// entry points (`Counter::inc_batch`, `Gauge::add_batch`,
+/// `Histogram::record_batch`): one shard lookup per batch, and for a
+/// histogram one fold of count/sum/min/max per batch while the bucket
+/// increments stay relaxed per-value fetch_adds (so a concurrent
+/// `Registry::reset()` zeroes whatever landed before it, as before).  The
+/// batch entry points are *not* gated on `enabled()`: the caller gated
+/// each sample when it tallied it, and a batch flushed after recording
+/// was switched off still lands.  Totals equal per-event recording
+/// exactly, except a histogram's `sum`, whose summation order changes
+/// (batch-local partial sums), so it agrees only to rounding.
 ///
 /// The registry deliberately depends on nothing else in lbmv (it sits
 /// below util so the thread pool itself can be instrumented); snapshots
 /// serialise to Prometheus text and plain JSON strings.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,6 +112,16 @@ class Counter {
 #endif
   }
 
+  /// Add a tally of increments counted while recording was on.  Not gated
+  /// on enabled() (see the cost model above); zero is a no-op.
+  void inc_batch(std::uint64_t n) {
+#if LBMV_OBS
+    if (registry_ != nullptr && n != 0) detail_add(n);
+#else
+    (void)n;
+#endif
+  }
+
  private:
   friend class Registry;
   Counter(Registry* registry, std::uint32_t index)
@@ -114,6 +140,16 @@ class Gauge {
   void add(double delta) {
 #if LBMV_OBS
     if (registry_ != nullptr && enabled()) detail_add(delta);
+#else
+    (void)delta;
+#endif
+  }
+
+  /// Add a net delta tallied while recording was on.  Not gated on
+  /// enabled(); zero is a no-op.
+  void add_batch(double delta) {
+#if LBMV_OBS
+    if (registry_ != nullptr && delta != 0.0) detail_add(delta);
 #else
     (void)delta;
 #endif
@@ -142,15 +178,42 @@ class Histogram {
 #endif
   }
 
+  /// Record every value of \p values, sampled while recording was on:
+  /// one shard lookup and one count/sum/min/max fold for the whole batch.
+  /// Not gated on enabled().
+  void record_batch(std::span<const double> values) {
+#if LBMV_OBS
+    if (registry_ != nullptr && !values.empty()) detail_record_batch(values);
+#else
+    (void)values;
+#endif
+  }
+
  private:
   friend class Registry;
   Histogram(Registry* registry, std::uint32_t index)
       : registry_(registry), index_(index) {}
   void detail_record(double value);
+  void detail_record_batch(std::span<const double> values);
 
   Registry* registry_ = nullptr;
   std::uint32_t index_ = 0;
 };
+
+/// record_batch over value_at(0), ..., value_at(count - 1), gathered in
+/// fixed-size stack chunks so a caller with values spread over structs
+/// (per-agent outcomes, completion records) needs no heap scratch.
+template <typename ValueAt>
+void record_each(Histogram& histogram, std::size_t count,
+                 ValueAt&& value_at) {
+  constexpr std::size_t kChunk = 256;
+  double chunk[kChunk];
+  for (std::size_t begin = 0; begin < count; begin += kChunk) {
+    const std::size_t len = std::min(kChunk, count - begin);
+    for (std::size_t k = 0; k < len; ++k) chunk[k] = value_at(begin + k);
+    histogram.record_batch(std::span<const double>(chunk, len));
+  }
+}
 
 // ---- snapshots ------------------------------------------------------------
 
@@ -229,6 +292,8 @@ class Registry {
   void counter_add(std::uint32_t index, std::uint64_t n);
   void gauge_add(std::uint32_t index, double delta);
   void histogram_record(std::uint32_t index, double value);
+  void histogram_record_batch(std::uint32_t index,
+                              std::span<const double> values);
 
   const std::uint64_t id_;  ///< process-unique; keys thread-local caches
   mutable std::mutex mutex_;

@@ -5,8 +5,11 @@
 ///
 /// Each bundle groups the handles one subsystem records into, resolved
 /// once from `Registry::global()` behind a function-local static, so
-/// probe sites pay a handle copy at component construction and a relaxed
-/// atomic on the hot path — never a name lookup.
+/// probe sites never pay a name lookup.  Once-per-round sites record
+/// directly (a shard lookup plus relaxed atomics); the simulator's
+/// per-event sites (events, queue depth, jobs, per-server arrivals,
+/// completions and waiting times) tally in plain members and flush through
+/// the batch entry points (metrics.h, DESIGN.md §9).
 ///
 /// Families (all exported by `lbmv obs`, documented in DESIGN.md §9):
 ///

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "lbmv/obs/probes.h"
@@ -31,7 +32,7 @@ void Simulation::push_event(SimTime time, EventKind kind,
   } else {
     overflow_.push_back(event);
   }
-  if (obs::enabled()) obs::SimProbes::get().queue_depth.add(1.0);
+  if (obs::enabled()) ++tally_.queue_depth;
 }
 
 void Simulation::insert_bucket(const Event& event) {
@@ -146,7 +147,7 @@ void Simulation::schedule(SimTime time, Handler handler) {
     slot = static_cast<std::uint32_t>(closure_slots_.size());
     closure_slots_.push_back(std::move(handler));
   }
-  if (obs::enabled()) obs::SimProbes::get().slab_in_use.add(1.0);
+  if (obs::enabled()) ++tally_.slab_in_use;
   push_event(time, EventKind::kClosure, slot);
 }
 
@@ -177,7 +178,7 @@ void Simulation::dispatch(const Event& event) {
     Handler handler = std::move(closure_slots_[slot]);
     closure_slots_[slot] = nullptr;
     free_closure_slots_.push_back(slot);
-    if (obs::enabled()) obs::SimProbes::get().slab_in_use.add(-1.0);
+    if (obs::enabled()) --tally_.slab_in_use;
     handler();
   } else {
     reinterpret_cast<EventSink*>(event.payload)
@@ -199,18 +200,35 @@ bool Simulation::step() {
   now_ = event.time;
   ++processed_;
   if (obs::enabled()) {
-    obs::SimProbes& probes = obs::SimProbes::get();
-    probes.events_total.inc();
-    probes.events_by_kind[static_cast<std::size_t>(kind_of(event))].inc();
-    probes.queue_depth.add(-1.0);
+    ++tally_.events_by_kind[static_cast<std::size_t>(kind_of(event))];
+    --tally_.queue_depth;
+    if (++tally_.events >= kTelemetryFlushEvery) flush_telemetry();
   }
   dispatch(event);
   return true;
 }
 
+void Simulation::flush_telemetry() {
+  if (tally_.events == 0 && tally_.queue_depth == 0 &&
+      tally_.slab_in_use == 0) {
+    return;
+  }
+  obs::SimProbes& probes = obs::SimProbes::get();
+  probes.events_total.inc_batch(tally_.events);
+  for (std::size_t k = 0; k < std::size(tally_.events_by_kind); ++k) {
+    probes.events_by_kind[k].inc_batch(tally_.events_by_kind[k]);
+  }
+  probes.queue_depth.add_batch(static_cast<double>(tally_.queue_depth));
+  probes.slab_in_use.add_batch(static_cast<double>(tally_.slab_in_use));
+  tally_ = Tally{};
+}
+
+Simulation::~Simulation() { flush_telemetry(); }
+
 void Simulation::run() {
   while (step()) {
   }
+  flush_telemetry();
 }
 
 void Simulation::run_until(SimTime t) {
@@ -222,6 +240,7 @@ void Simulation::run_until(SimTime t) {
     step();
   }
   now_ = t;
+  flush_telemetry();
 }
 
 void Simulation::reserve(std::size_t events) {
@@ -234,12 +253,11 @@ void Simulation::reset() {
   if (obs::enabled()) {
     // Pending work vanishes with the reset; walk the occupancy gauges back
     // down so they keep meaning "currently live" across reuse.
-    obs::SimProbes& probes = obs::SimProbes::get();
-    probes.queue_depth.add(
-        -static_cast<double>(in_buckets_ + overflow_.size()));
-    probes.slab_in_use.add(-static_cast<double>(closure_slots_.size() -
-                                                free_closure_slots_.size()));
+    tally_.queue_depth -= static_cast<std::int64_t>(pending());
+    tally_.slab_in_use -= static_cast<std::int64_t>(
+        closure_slots_.size() - free_closure_slots_.size());
   }
+  flush_telemetry();
   for (auto& bucket : buckets_) bucket.clear();
   overflow_.clear();
   closure_slots_.clear();

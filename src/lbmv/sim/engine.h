@@ -83,11 +83,29 @@ class EventSink {
   ~EventSink() = default;  // non-owning: never deleted through the interface
 };
 
+/// Events (or completions, jobs) a simulation component tallies locally
+/// before it flushes the tally into the metrics registry; bounds how stale
+/// a live scrape (`lbmv obs --watch`) can be mid-run.
+inline constexpr std::size_t kTelemetryFlushEvery = 4096;
+
 /// A minimal event-loop simulator: schedule typed events or closures at
 /// absolute times and drain them in (time, insertion) order.
+///
+/// Telemetry: while obs::enabled(), dispatched events (total and per kind)
+/// and the queue-depth / closure-slab occupancy deltas are tallied in
+/// plain members and flushed to the registry when run() or run_until()
+/// returns, every kTelemetryFlushEvery dispatched events, in reset() and
+/// on destruction.  A tally taken while recording was on is flushed even
+/// if recording has been switched off since.
 class Simulation {
  public:
   using Handler = std::function<void()>;
+
+  Simulation() = default;
+  ~Simulation();
+  // The telemetry tally is flushed exactly once, by its owner.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   /// Schedule \p handler at absolute \p time.  Requires time >= now().
   /// The handler is stored in a pooled slab slot that is recycled after the
@@ -175,6 +193,16 @@ class Simulation {
   /// Carve the next active window off the overflow band and bucket it.
   void refill_window();
   void dispatch(const Event& event);
+  /// Push the telemetry tally into the registry and zero it.
+  void flush_telemetry();
+
+  /// Telemetry accumulated since the last flush (see the class comment).
+  struct Tally {
+    std::uint64_t events_by_kind[5] = {};  ///< indexed by EventKind
+    std::int64_t queue_depth = 0;          ///< net pushes minus pops
+    std::int64_t slab_in_use = 0;          ///< net closures stored - fired
+    std::size_t events = 0;                ///< dispatched since last flush
+  };
 
   // Calendar-queue state: the active window [win_start_, win_end_) hashed
   // into buckets_ (sorted descending within a bucket, so the minimum is a
@@ -194,6 +222,7 @@ class Simulation {
   std::uint64_t last_key_ = 0;  // monotone-progress check across steps
   SimTime last_time_ = 0.0;
   std::size_t processed_ = 0;
+  Tally tally_;
 };
 
 }  // namespace lbmv::sim

@@ -33,6 +33,14 @@ JobSource::JobSource(Simulation& sim, std::span<Server* const> servers,
   LBMV_REQUIRE(horizon_ > 0.0, "horizon must be positive");
 }
 
+JobSource::~JobSource() { flush_telemetry(); }
+
+void JobSource::flush_telemetry() {
+  if (obs_jobs_pending_ == 0) return;
+  obs::SimProbes::get().source_jobs.inc_batch(obs_jobs_pending_);
+  obs_jobs_pending_ = 0;
+}
+
 void JobSource::start() {
   sim_->schedule_event_after(rng_.exponential(total_rate_),
                              EventKind::kArrival, this);
@@ -57,7 +65,9 @@ std::size_t JobSource::route() {
 void JobSource::arrival() {
   if (sim_->now() > horizon_) return;  // stop generating past the horizon
   const std::size_t target = route();
-  if (obs::enabled()) obs::SimProbes::get().source_jobs.inc();
+  if (obs::enabled() && ++obs_jobs_pending_ >= kTelemetryFlushEvery) {
+    flush_telemetry();
+  }
   ++counts_[target];
   servers_[target]->submit(Job{next_job_id_++, sim_->now()});
   sim_->schedule_event_after(rng_.exponential(total_rate_),

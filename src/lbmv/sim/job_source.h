@@ -15,6 +15,9 @@
 /// scan, while consuming the identical single uniform draw and returning
 /// the identical index (the prefix sums are accumulated in the same
 /// left-to-right order as Rng::categorical's running sum).
+///
+/// Telemetry: jobs emitted while obs::enabled() are tallied locally and
+/// flushed every kTelemetryFlushEvery jobs and on destruction.
 
 #include <cstdint>
 #include <span>
@@ -33,6 +36,11 @@ class JobSource final : public EventSink {
   /// \p servers must outlive the source.  Arrivals stop at \p horizon.
   JobSource(Simulation& sim, std::span<Server* const> servers,
             std::vector<double> rates, SimTime horizon, util::Rng rng);
+  ~JobSource();
+  // Scheduled events point at this source, and its telemetry tally is
+  // flushed exactly once: neither copyable nor movable.
+  JobSource(const JobSource&) = delete;
+  JobSource& operator=(const JobSource&) = delete;
 
   /// Schedule the first arrival; subsequent arrivals self-schedule.
   void start();
@@ -48,6 +56,7 @@ class JobSource final : public EventSink {
  private:
   void arrival();
   [[nodiscard]] std::size_t route();
+  void flush_telemetry();
 
   Simulation* sim_;
   std::vector<Server*> servers_;
@@ -58,6 +67,7 @@ class JobSource final : public EventSink {
   util::Rng rng_;
   std::uint64_t next_job_id_ = 0;
   std::vector<std::uint64_t> counts_;
+  std::uint64_t obs_jobs_pending_ = 0;  ///< emitted, not yet flushed
 };
 
 }  // namespace lbmv::sim

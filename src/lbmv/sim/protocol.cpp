@@ -48,8 +48,11 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   report.messages += n;
 
   // Step 2: allocate and assign (n messages).
-  report.allocation = mechanism_->allocator().allocate(
-      config.family(), intents.bids, config.arrival_rate());
+  {
+    const obs::Span allocate_span("allocate", "protocol");
+    report.allocation = mechanism_->allocator().allocate(
+        config.family(), intents.bids, config.arrival_rate());
+  }
   report.messages += n;
   if (obs::enabled()) {
     // Mass balance on the wire: the assignment shipped to the servers
@@ -64,52 +67,60 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
          {"arrival_rate", config.arrival_rate()}});
   }
 
-  // Step 3: execute the jobs on simulated servers.
+  // Step 3: execute the jobs on simulated servers.  The servers (and
+  // their completion logs) outlive the span: step 4 reads them.
   util::Rng rng(seed);
   Simulation sim;
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<Server*> server_ptrs;
-  servers.reserve(n);
-  // Arena pre-sizing: ~R * horizon jobs arrive system-wide; spreading that
-  // evenly is only a hint, but it keeps steady-state runs allocation-free.
-  const double expected_jobs =
-      config.arrival_rate() * options_.horizon / static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    servers.push_back(std::make_unique<Server>(
-        sim, "C" + std::to_string(i + 1), intents.executions[i],
-        options_.service_model, rng.split(i + 1)));
-    servers.back()->reserve(static_cast<std::size_t>(2.0 * expected_jobs) +
-                            16);
-    server_ptrs.push_back(servers.back().get());
+  {
+    const obs::Span simulate_span("simulate", "protocol");
+    servers.reserve(n);
+    // Arena pre-sizing: ~R * horizon jobs arrive system-wide; spreading
+    // that evenly is only a hint, but it keeps steady-state runs
+    // allocation-free.
+    const double expected_jobs =
+        config.arrival_rate() * options_.horizon / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      servers.push_back(std::make_unique<Server>(
+          sim, "C" + std::to_string(i + 1), intents.executions[i],
+          options_.service_model, rng.split(i + 1)));
+      servers.back()->reserve(
+          static_cast<std::size_t>(2.0 * expected_jobs) + 16);
+      server_ptrs.push_back(servers.back().get());
+    }
+    std::vector<double> rates(report.allocation.rates().begin(),
+                              report.allocation.rates().end());
+    JobSource source(sim, server_ptrs, std::move(rates), options_.horizon,
+                     rng.split(0));
+    source.start();
+    sim.run();  // arrivals stop at the horizon; drain remaining service
+    report.metrics = collect_metrics(server_ptrs, options_.horizon,
+                                     options_.warmup_fraction);
   }
-  std::vector<double> rates(report.allocation.rates().begin(),
-                            report.allocation.rates().end());
-  JobSource source(sim, server_ptrs, std::move(rates), options_.horizon,
-                   rng.split(0));
-  source.start();
-  sim.run();  // arrivals stop at the horizon; drain remaining service
-  report.metrics = collect_metrics(server_ptrs, options_.horizon,
-                                   options_.warmup_fraction);
 
   // Step 4: verification — estimate execution values from completions.
   report.estimated_execution.resize(n);
   report.estimate_available.resize(n);
   model::BidProfile verified = intents;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto estimate =
-        options_.trim_fraction > 0.0
-            ? estimate_execution_value_trimmed(servers[i]->completions(),
-                                               options_.service_model,
-                                               options_.trim_fraction)
-            : estimate_execution_value(servers[i]->completions(),
-                                       options_.service_model);
-    report.estimate_available[i] = estimate.has_value();
-    // A computer that received no jobs cannot be verified; the mechanism
-    // falls back to trusting its bid for the round.
-    if (!estimate) obs::ProtocolProbes::get().estimate_fallbacks.inc();
-    report.estimated_execution[i] =
-        estimate ? estimate->execution_value : intents.bids[i];
-    verified.executions[i] = report.estimated_execution[i];
+  {
+    const obs::Span estimate_span("estimate", "protocol");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto estimate =
+          options_.trim_fraction > 0.0
+              ? estimate_execution_value_trimmed(servers[i]->completions(),
+                                                 options_.service_model,
+                                                 options_.trim_fraction)
+              : estimate_execution_value(servers[i]->completions(),
+                                         options_.service_model);
+      report.estimate_available[i] = estimate.has_value();
+      // A computer that received no jobs cannot be verified; the mechanism
+      // falls back to trusting its bid for the round.
+      if (!estimate) obs::ProtocolProbes::get().estimate_fallbacks.inc();
+      report.estimated_execution[i] =
+          estimate ? estimate->execution_value : intents.bids[i];
+      verified.executions[i] = report.estimated_execution[i];
+    }
   }
 
   // Step 5: payments (n messages) — at the estimates, and at the paper's
@@ -117,11 +128,14 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   // bids are identical, only the execution plane differs between verified
   // and intents, so the second round is an O(k)-in-changed-entries sync of
   // the first rather than a second from-scratch round.
-  core::DeltaRoundEngine engine(*mechanism_, config.family_ptr(),
-                                config.arrival_rate(), verified);
-  report.outcome = engine.outcome();
-  engine.sync(intents.bids, intents.executions);
-  report.oracle_outcome = engine.outcome();
+  {
+    const obs::Span pay_span("pay", "protocol");
+    core::DeltaRoundEngine engine(*mechanism_, config.family_ptr(),
+                                  config.arrival_rate(), verified);
+    report.outcome = engine.outcome();
+    engine.sync(intents.bids, intents.executions);
+    report.oracle_outcome = engine.outcome();
+  }
   report.messages += n;
   if (obs::enabled()) {
     // Record-only residual gauge: how much the estimation noise moved the

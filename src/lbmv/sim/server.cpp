@@ -48,6 +48,7 @@ Server::Server(Simulation& sim, std::string name, double execution_value,
   // at construction time (enable observability before building the
   // simulation); otherwise the handles stay inert no-ops.
   if (obs::enabled()) {
+    observed_ = true;
     obs::Registry& registry = obs::Registry::global();
     obs_arrivals_ = registry.counter(
         obs::labeled("lbmv_server_arrivals_total", "server", name_));
@@ -58,8 +59,13 @@ Server::Server(Simulation& sim, std::string name, double execution_value,
   }
 }
 
+Server::~Server() { flush_telemetry(completions_.size()); }
+
 void Server::submit(const Job& job) {
-  obs_arrivals_.inc();
+  if (observed_ && obs::enabled() &&
+      ++obs_arrivals_pending_ >= kTelemetryFlushEvery) {
+    flush_telemetry(obs_flushed_);
+  }
   queue_.push_back(Job{job.id, sim_->now()});
   if (!busy_) begin_service();
 }
@@ -101,13 +107,38 @@ void Server::on_sim_event(Simulation& sim, EventKind kind) {
   completions_.push_back(Completion{in_service_.id, in_service_.arrival,
                                     service_start_,
                                     service_start_ + service_duration_});
-  obs_completions_.inc();
-  obs_waiting_.record(completions_.back().waiting_time());
+  if (observed_) tally_completion();
   if (head_ < queue_.size()) {
     begin_service();
   } else {
     busy_ = false;
   }
+}
+
+void Server::tally_completion() {
+  const std::size_t done = completions_.size();
+  if (!obs::enabled()) {
+    // Not recorded: report the pending run before it and skip this one.
+    flush_telemetry(done - 1);
+    obs_flushed_ = done;
+  } else if (done - obs_flushed_ >= kTelemetryFlushEvery) {
+    flush_telemetry(done);
+  }
+}
+
+void Server::flush_telemetry(std::size_t end) {
+  if (!observed_ || (obs_arrivals_pending_ == 0 && end <= obs_flushed_)) {
+    return;
+  }
+  obs_arrivals_.inc_batch(obs_arrivals_pending_);
+  obs_arrivals_pending_ = 0;
+  if (end <= obs_flushed_) return;
+  obs_completions_.inc_batch(end - obs_flushed_);
+  const Completion* pending = completions_.data() + obs_flushed_;
+  obs::record_each(obs_waiting_, end - obs_flushed_, [pending](std::size_t k) {
+    return pending[k].waiting_time();
+  });
+  obs_flushed_ = end;
 }
 
 void Server::reserve(std::size_t expected_jobs) {
@@ -120,7 +151,9 @@ void Server::reset() {
   queue_.clear();
   head_ = 0;
   busy_time_ = 0.0;
+  flush_telemetry(completions_.size());
   completions_.clear();
+  obs_flushed_ = 0;
 }
 
 }  // namespace lbmv::sim

@@ -19,6 +19,15 @@
 /// steady-state run allocates nothing per job.  The job queue and the
 /// completion log are flat per-server arenas (reserve() pre-sizes them,
 /// reset() recycles them across replications without freeing).
+///
+/// Telemetry: a server constructed while obs::enabled() tallies its
+/// arrivals locally and remembers which completions it has not yet
+/// reported; the flush adds both counts and batch-records those
+/// completions' waiting times into its labelled families.  It flushes
+/// every kTelemetryFlushEvery arrivals or completions, in reset() and on
+/// destruction — so a protocol round's counts land when its servers go —
+/// and whatever was tallied while recording was on lands even if
+/// recording is switched off before the flush.
 
 #include <cstdint>
 #include <string>
@@ -72,6 +81,11 @@ class Server final : public EventSink {
   /// runs at; the mean service time is derived per \p model.
   Server(Simulation& sim, std::string name, double execution_value,
          ServiceModel model, util::Rng rng);
+  ~Server();
+  // Scheduled events point at this server, and its telemetry tally is
+  // flushed exactly once: neither copyable nor movable.
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   /// Enqueue a job at the simulation's current time.
   void submit(const Job& job);
@@ -105,6 +119,10 @@ class Server final : public EventSink {
 
  private:
   void begin_service();
+  /// Account the completion just appended to completions_.
+  void tally_completion();
+  /// Flush pending arrivals and completions_[obs_flushed_, end).
+  void flush_telemetry(std::size_t end);
 
   Simulation* sim_;
   std::string name_;
@@ -126,9 +144,15 @@ class Server final : public EventSink {
 
   // Per-server metric handles, resolved once at construction (inert
   // defaults when recording is off at that point; see server.cpp).
+  bool observed_ = false;
   obs::Counter obs_arrivals_;
   obs::Counter obs_completions_;
   obs::Histogram obs_waiting_;
+  // Telemetry tally: arrivals counted since the last flush, and the index
+  // of the first completion not yet reported (completions_[obs_flushed_,
+  // size) were all completed while recording was on).
+  std::uint64_t obs_arrivals_pending_ = 0;
+  std::size_t obs_flushed_ = 0;
 };
 
 }  // namespace lbmv::sim

@@ -1,17 +1,27 @@
 // Tests for the sharded metrics registry: histogram bucket geometry at the
-// edges of the double range, merge associativity across thread counts, and
-// the zero-cost-when-off contract.
+// edges of the double range, merge associativity across thread counts, the
+// zero-cost-when-off contract, and the simulator's batched telemetry
+// (local tallies flushed in batches must total exactly what per-event
+// recording would have).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "lbmv/core/comp_bonus.h"
+#include "lbmv/model/system_config.h"
 #include "lbmv/obs/metrics.h"
 #include "lbmv/obs/obs.h"
+#include "lbmv/sim/engine.h"
+#include "lbmv/sim/job_source.h"
+#include "lbmv/sim/protocol.h"
+#include "lbmv/sim/server.h"
 #include "lbmv/util/json.h"
+#include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
 
 namespace {
@@ -238,6 +248,433 @@ TEST(Exposition, PrometheusHasTypeLinesAndLabels) {
 
 TEST(Exposition, LabeledComposesPrometheusNames) {
   EXPECT_EQ(labeled("f_total", "server", "C2"), "f_total{server=\"C2\"}");
+}
+
+// ---- batched recording ------------------------------------------------------
+
+/// Exact equality of every family in \p want against \p got, except a
+/// histogram's sum, which batching re-associates: relative 1e-12.
+void expect_same_families(const MetricsSnapshot& got,
+                          const MetricsSnapshot& want) {
+  for (const auto& [name, value] : want.counters) {
+    ASSERT_TRUE(got.counters.contains(name)) << name;
+    EXPECT_EQ(got.counters.at(name), value) << name;
+  }
+  for (const auto& [name, value] : want.gauges) {
+    ASSERT_TRUE(got.gauges.contains(name)) << name;
+    EXPECT_EQ(got.gauges.at(name), value) << name;
+  }
+  for (const auto& [name, h] : want.histograms) {
+    ASSERT_TRUE(got.histograms.contains(name)) << name;
+    const HistogramSnapshot& g = got.histograms.at(name);
+    EXPECT_EQ(g.count, h.count) << name;
+    EXPECT_EQ(g.nan_count, h.nan_count) << name;
+    EXPECT_EQ(g.min, h.min) << name;
+    EXPECT_EQ(g.max, h.max) << name;
+    EXPECT_EQ(g.buckets, h.buckets) << name;
+    if (g.sum != h.sum) {  // equal covers an infinite sum
+      EXPECT_LE(std::fabs(g.sum - h.sum),
+                1e-12 * std::max(1.0, std::fabs(h.sum)))
+          << name;
+    }
+  }
+}
+
+TEST(BatchedRecording, RecordBatchMatchesPerValueRecording) {
+  SKIP_IF_COMPILED_OUT();
+  EnabledScope on;
+  Registry batched, single;
+  Histogram hb = batched.histogram("h");
+  Histogram hs = single.histogram("h");
+  std::vector<double> values = {0.0, -2.5, kNaN, kInf, 1e-40, 3.0, 0.125};
+  lbmv::util::Rng rng(5);
+  for (int i = 0; i < 700; ++i) values.push_back(rng.exponential(0.5));
+  for (const double v : values) hs.record(v);
+  record_each(hb, values.size(), [&](std::size_t i) { return values[i]; });
+  expect_same_families(batched.snapshot(), single.snapshot());
+  EXPECT_EQ(batched.snapshot().histograms.at("h").nan_count, 1u);
+
+  // Batches are not gated on enabled(): the caller gated each sample.
+  Counter c = batched.counter("c");
+  Gauge g = batched.gauge("g");
+  set_enabled(false);
+  c.inc_batch(3);
+  g.add_batch(-2.0);
+  hb.record_batch(std::span<const double>(values).first(1));
+  set_enabled(true);
+  const MetricsSnapshot snap = batched.snapshot();
+  EXPECT_EQ(snap.counters.at("c"), 3u);
+  EXPECT_EQ(snap.gauges.at("g"), -2.0);
+  EXPECT_EQ(snap.histograms.at("h").count, values.size());
+}
+
+// The protocol round's parameters shared by the simulator tests below.
+const lbmv::model::SystemConfig& sim_config() {
+  static const lbmv::model::SystemConfig config(
+      {0.01, 0.015, 0.02, 0.03, 0.05, 0.08}, 6.0);
+  return config;
+}
+
+/// The protocol's name for computer i ("C1", "C2", ...).
+std::string computer_name(std::size_t i) {
+  std::string name = "C";
+  name += std::to_string(i + 1);
+  return name;
+}
+
+/// The simulated execution of one protocol round (step 3 of
+/// VerifiedProtocol::run_round), rebuilt from the same RNG splits so the
+/// test can step it event by event.
+struct ReplayedRound {
+  lbmv::util::Rng rng;
+  lbmv::sim::Simulation sim;
+  std::vector<std::unique_ptr<lbmv::sim::Server>> servers;
+  std::vector<lbmv::sim::Server*> ptrs;
+  std::unique_ptr<lbmv::sim::JobSource> source;
+
+  ReplayedRound(std::span<const double> executions,
+                std::span<const double> rates, double horizon,
+                std::uint64_t seed)
+      : rng(seed) {
+    for (std::size_t i = 0; i < executions.size(); ++i) {
+      servers.push_back(std::make_unique<lbmv::sim::Server>(
+          sim, computer_name(i), executions[i],
+          lbmv::sim::ServiceModel::kExponential, rng.split(i + 1)));
+      ptrs.push_back(servers.back().get());
+    }
+    source = std::make_unique<lbmv::sim::JobSource>(
+        sim, ptrs, std::vector<double>(rates.begin(), rates.end()), horizon,
+        rng.split(0));
+    source->start();
+  }
+
+  [[nodiscard]] std::size_t completed() const {
+    std::size_t done = 0;
+    for (const auto* s : ptrs) done += s->completions().size();
+    return done;
+  }
+};
+
+TEST(BatchedRecording, ProtocolRoundMatchesPerEventReference) {
+  SKIP_IF_COMPILED_OUT();
+  const auto& config = sim_config();
+  const lbmv::core::CompBonusMechanism mechanism;
+  lbmv::sim::ProtocolOptions options;
+  options.horizon = 1500.0;  // ~9000 jobs: the engine's tally flushes mid-run
+  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
+  auto intents = lbmv::model::BidProfile::truthful(config);
+  intents.executions[2] *= 1.5;
+  constexpr std::uint64_t kSeed = 2003;
+
+  Registry::global().reset();
+  set_enabled(true);
+  const auto report = protocol.run_round(config, intents, kSeed);
+  set_enabled(false);
+  const MetricsSnapshot got = Registry::global().snapshot();
+
+  // Reference: replay the round's simulation with recording off (the
+  // servers' handles stay inert) and record every event, arrival,
+  // completion and payment one value at a time, as the per-event probes
+  // did.
+  ReplayedRound replay(intents.executions, report.allocation.rates(),
+                       options.horizon, kSeed);
+  Registry reference;
+  Counter events = reference.counter("lbmv_sim_events_total");
+  Counter arrival_events = reference.counter(
+      labeled("lbmv_sim_events_kind_total", "kind", "arrival"));
+  Counter completion_events = reference.counter(
+      labeled("lbmv_sim_events_kind_total", "kind", "service_completion"));
+  Counter jobs = reference.counter("lbmv_sim_source_jobs_total");
+  Gauge depth = reference.gauge("lbmv_sim_queue_depth");
+  std::vector<Counter> arrivals, completions;
+  std::vector<Histogram> waiting;
+  for (std::size_t i = 0; i < config.size(); ++i) {
+    const std::string server = computer_name(i);
+    arrivals.push_back(reference.counter(
+        labeled("lbmv_server_arrivals_total", "server", server)));
+    completions.push_back(reference.counter(
+        labeled("lbmv_server_completions_total", "server", server)));
+    waiting.push_back(reference.histogram(
+        labeled("lbmv_server_waiting_seconds", "server", server)));
+  }
+  EnabledScope on;
+  depth.add(static_cast<double>(replay.sim.pending()));  // source.start()
+  std::vector<std::uint64_t> sent(config.size(), 0);
+  std::vector<std::size_t> done(config.size(), 0);
+  for (;;) {
+    const std::size_t pending = replay.sim.pending();
+    const std::size_t completed = replay.completed();
+    if (!replay.sim.step()) break;
+    events.inc();
+    depth.add(-1.0);
+    // The handler scheduled whatever the queue grew by, plus the pop.
+    const std::size_t pushed = replay.sim.pending() + 1 - pending;
+    for (std::size_t p = 0; p < pushed; ++p) depth.add(1.0);
+    (replay.completed() > completed ? completion_events : arrival_events)
+        .inc();
+    for (std::size_t i = 0; i < config.size(); ++i) {
+      const auto counts = replay.source->per_server_counts();
+      for (; sent[i] < counts[i]; ++sent[i]) {
+        jobs.inc();
+        arrivals[i].inc();
+      }
+      const auto& log = replay.ptrs[i]->completions();
+      for (; done[i] < log.size(); ++done[i]) {
+        completions[i].inc();
+        waiting[i].record(log[done[i]].waiting_time());
+      }
+    }
+  }
+  Histogram payment = reference.histogram("lbmv_mech_round_payment");
+  Histogram bonus = reference.histogram("lbmv_mech_round_bonus");
+  for (const auto* outcome : {&report.outcome, &report.oracle_outcome}) {
+    for (const auto& agent : outcome->agents) {
+      payment.record(agent.payment);
+      bonus.record(agent.bonus);
+    }
+  }
+  const MetricsSnapshot want = reference.snapshot();
+  ASSERT_GT(want.counters.at("lbmv_sim_events_total"),
+            lbmv::sim::kTelemetryFlushEvery);
+  EXPECT_EQ(want.gauges.at("lbmv_sim_queue_depth"), 0.0);
+  expect_same_families(got, want);
+}
+
+TEST(BatchedRecording, EngineFlushesAtRunUntilResetDestructionAndThreshold) {
+  SKIP_IF_COMPILED_OUT();
+  // A ring of sinks that re-schedule themselves a unit later; one snapshot
+  // is taken from inside the handler of a chosen event.
+  struct Ticker final : lbmv::sim::EventSink {
+    std::size_t* seen = nullptr;
+    std::size_t probe_at = 0;
+    std::uint64_t* probed = nullptr;
+    void on_sim_event(lbmv::sim::Simulation& sim,
+                      lbmv::sim::EventKind) override {
+      if (++*seen == probe_at) {
+        *probed = Registry::global().snapshot().counters.at(
+            "lbmv_sim_events_total");
+      }
+      sim.schedule_event_after(1.0, lbmv::sim::EventKind::kArrival, this);
+    }
+  };
+  constexpr std::size_t kRing = 16;
+  const auto events_total = [] {
+    return Registry::global().snapshot().counters.at("lbmv_sim_events_total");
+  };
+  const auto depth = [] {
+    return Registry::global().snapshot().gauges.at("lbmv_sim_queue_depth");
+  };
+  Registry::global().reset();
+  EnabledScope on;
+  std::size_t seen = 0;
+  std::uint64_t probed = ~0ull;
+  std::vector<Ticker> ring(kRing);
+  {
+    lbmv::sim::Simulation sim;
+    for (auto& t : ring) {
+      t.seen = &seen;
+      t.probed = &probed;
+      t.probe_at = 10 * kRing + lbmv::sim::kTelemetryFlushEvery + 100;
+      sim.schedule_event(0.5, lbmv::sim::EventKind::kArrival, &t);
+    }
+    // run_until boundary: everything dispatched so far is in the registry.
+    sim.run_until(10.0);
+    EXPECT_EQ(events_total(), sim.processed());
+    EXPECT_EQ(depth(), static_cast<double>(sim.pending()));
+
+    // Threshold: mid-run, a handler sees the boundary's flush plus one
+    // full threshold's worth, not the events since.
+    sim.run_until(1000.0);
+    EXPECT_EQ(probed, 10 * kRing + lbmv::sim::kTelemetryFlushEvery);
+    EXPECT_EQ(events_total(), sim.processed());
+
+    // step() alone defers the flush; reset() flushes and walks the depth
+    // gauge back to zero.
+    const std::size_t before = sim.processed();
+    for (int k = 0; k < 5; ++k) ASSERT_TRUE(sim.step());
+    EXPECT_EQ(events_total(), before);
+    sim.reset();
+    EXPECT_EQ(events_total(), before + 5);
+    EXPECT_EQ(depth(), 0.0);
+
+    // Destruction flushes what step() left behind.
+    for (auto& t : ring) {
+      sim.schedule_event(0.5, lbmv::sim::EventKind::kArrival, &t);
+    }
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(sim.step());
+    EXPECT_EQ(events_total(), before + 5);
+  }
+  EXPECT_EQ(events_total(), seen);
+  // Each step re-schedules its sink: the ring was still pending when the
+  // simulation went, and the gauge says so.
+  EXPECT_EQ(depth(), static_cast<double>(kRing));
+}
+
+TEST(BatchedRecording, ServersAndSourceFlushAtThresholdResetAndDestruction) {
+  SKIP_IF_COMPILED_OUT();
+  const auto counter = [](const std::string& name) {
+    return Registry::global().snapshot().counters.at(name);
+  };
+  const std::string done = labeled("lbmv_server_completions_total", "server",
+                                   "S");
+  const std::string sent = labeled("lbmv_server_arrivals_total", "server",
+                                   "S");
+  const std::string wait = labeled("lbmv_server_waiting_seconds", "server",
+                                   "S");
+  Registry::global().reset();
+  EnabledScope on;
+  lbmv::sim::Simulation sim;
+  auto server = std::make_unique<lbmv::sim::Server>(
+      sim, "S", 0.04, lbmv::sim::ServiceModel::kDeterministic,
+      lbmv::util::Rng(3));
+  lbmv::sim::Server* ptr = server.get();
+  auto source = std::make_unique<lbmv::sim::JobSource>(
+      sim, std::span<lbmv::sim::Server* const>(&ptr, 1),
+      std::vector<double>{2.0}, 3000.0, lbmv::util::Rng(4));
+  source->start();
+  // ~5000 jobs by t = 2500: one threshold's worth flushed, the rest local.
+  sim.run_until(2500.0);
+  ASSERT_GT(server->completions().size(), lbmv::sim::kTelemetryFlushEvery);
+  ASSERT_LT(server->completions().size(), 2 * lbmv::sim::kTelemetryFlushEvery);
+  EXPECT_EQ(counter(done), lbmv::sim::kTelemetryFlushEvery);
+  EXPECT_EQ(counter(sent), lbmv::sim::kTelemetryFlushEvery);
+  EXPECT_EQ(counter("lbmv_sim_source_jobs_total"),
+            lbmv::sim::kTelemetryFlushEvery);
+  EXPECT_EQ(Registry::global().snapshot().histograms.at(wait).count,
+            lbmv::sim::kTelemetryFlushEvery);
+
+  // Drained: destroying the source flushes its tally; the server's reset()
+  // flushes the rest of the completions before forgetting them.
+  sim.run();
+  const std::uint64_t emitted = source->jobs_emitted();
+  const std::size_t completed = server->completions().size();
+  source.reset();
+  EXPECT_EQ(counter("lbmv_sim_source_jobs_total"), emitted);
+  server->reset();
+  EXPECT_EQ(counter(done), completed);
+  EXPECT_EQ(counter(sent), emitted);
+  EXPECT_EQ(Registry::global().snapshot().histograms.at(wait).count,
+            completed);
+
+  // Destruction flushes jobs submitted and served since the reset.
+  server->submit(lbmv::sim::Job{1, sim.now()});
+  sim.run();
+  server.reset();
+  EXPECT_EQ(counter(done), completed + 1);
+  EXPECT_EQ(counter(sent), emitted + 1);
+}
+
+TEST(BatchedRecording, SwitchingRecordingOffMidRunDropsNothing) {
+  SKIP_IF_COMPILED_OUT();
+  const auto& config = sim_config();
+  const std::vector<double> rates = {1.5, 1.2, 1.0, 0.9, 0.8, 0.6};
+  Registry::global().reset();
+  set_enabled(true);  // servers resolve their families at construction
+  std::size_t steps_on = 0, completed_on = 0;
+  std::uint64_t jobs_on = 0;
+  {
+    ReplayedRound round(config.true_values(), rates, 800.0, 77);
+    for (; steps_on < 3000; ++steps_on) ASSERT_TRUE(round.sim.step());
+    completed_on = round.completed();
+    jobs_on = round.source->jobs_emitted();
+    // Nothing flushed at the switch: every tally is still local.
+    set_enabled(false);
+    round.sim.run();
+    ASSERT_GT(round.completed(), completed_on);
+  }
+  const MetricsSnapshot snap = Registry::global().snapshot();
+  EXPECT_EQ(snap.counters.at("lbmv_sim_events_total"), steps_on);
+  EXPECT_EQ(snap.counters.at("lbmv_sim_source_jobs_total"), jobs_on);
+  std::uint64_t completions = 0, arrivals = 0, waits = 0;
+  for (std::size_t i = 0; i < config.size(); ++i) {
+    const std::string server = computer_name(i);
+    completions += snap.counters.at(
+        labeled("lbmv_server_completions_total", "server", server));
+    arrivals += snap.counters.at(
+        labeled("lbmv_server_arrivals_total", "server", server));
+    waits += snap.histograms
+                 .at(labeled("lbmv_server_waiting_seconds", "server", server))
+                 .count;
+  }
+  EXPECT_EQ(completions, completed_on);
+  EXPECT_EQ(waits, completed_on);
+  EXPECT_EQ(arrivals, jobs_on);
+}
+
+TEST(BatchedRecording, RecordingLeavesCompletionTracesBitIdentical) {
+  const auto& config = sim_config();
+  const std::vector<double> rates = {1.5, 1.2, 1.0, 0.9, 0.8, 0.6};
+  const auto traces = [&](bool recording) {
+    set_enabled(recording);
+    ReplayedRound round(config.true_values(), rates, 1000.0, 11);
+    round.sim.run();
+    set_enabled(false);
+    std::vector<std::vector<lbmv::sim::Completion>> out;
+    for (const auto* s : round.ptrs) out.push_back(s->completions());
+    return out;
+  };
+  const auto off = traces(false);
+  const auto on = traces(true);
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    ASSERT_EQ(on[i].size(), off[i].size());
+    for (std::size_t k = 0; k < on[i].size(); ++k) {
+      EXPECT_EQ(on[i][k].job_id, off[i][k].job_id);
+      EXPECT_EQ(on[i][k].arrival, off[i][k].arrival);
+      EXPECT_EQ(on[i][k].start, off[i][k].start);
+      EXPECT_EQ(on[i][k].finish, off[i][k].finish);
+    }
+  }
+}
+
+TEST(BatchedRecording, ReplicatedTotalsIndependentOfThreadCount) {
+  SKIP_IF_COMPILED_OUT();
+  const auto& config = sim_config();
+  const lbmv::core::CompBonusMechanism mechanism;
+  lbmv::sim::ProtocolOptions options;
+  options.horizon = 400.0;
+  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
+  std::vector<MetricsSnapshot> snaps;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    lbmv::util::ThreadPool pool(threads);
+    lbmv::sim::ReplicationOptions replication;
+    replication.replications = 8;
+    replication.root_seed = 19;
+    replication.pool = &pool;
+    Registry::global().reset();
+    set_enabled(true);
+    (void)protocol.run_replicated(
+        config, lbmv::model::BidProfile::truthful(config), replication);
+    set_enabled(false);
+    snaps.push_back(Registry::global().snapshot());
+  }
+  // Pool counters differ with the pool's size by design; every simulator
+  // and mechanism family must not.
+  const auto simulated = [](const MetricsSnapshot& s) {
+    MetricsSnapshot out;
+    const auto keep = [](const std::string& name) {
+      return name.rfind("lbmv_sim_", 0) == 0 ||
+             name.rfind("lbmv_server_", 0) == 0 ||
+             name.rfind("lbmv_mech_round_", 0) == 0 ||
+             name == "lbmv_protocol_rounds_total";
+    };
+    for (const auto& [k, v] : s.counters) {
+      if (keep(k)) out.counters[k] = v;
+    }
+    for (const auto& [k, v] : s.gauges) {
+      if (keep(k)) out.gauges[k] = v;
+    }
+    for (const auto& [k, v] : s.histograms) {
+      if (keep(k)) out.histograms[k] = v;
+    }
+    return out;
+  };
+  const MetricsSnapshot want = simulated(snaps[0]);
+  ASSERT_EQ(want.counters.at("lbmv_protocol_rounds_total"), 8u);
+  EXPECT_EQ(want.gauges.at("lbmv_sim_queue_depth"), 0.0);
+  for (std::size_t t = 1; t < snaps.size(); ++t) {
+    expect_same_families(snaps[t], want);
+  }
 }
 
 }  // namespace

@@ -245,4 +245,40 @@ TEST(ObsIntegration, ProtocolRoundCountersMatchSystemMetrics) {
   EXPECT_TRUE(saw_round_span);
 }
 
+TEST(ObsIntegration, ProtocolRoundHasNestedLayerSpans) {
+  SKIP_IF_COMPILED_OUT();
+  EnabledScope on;
+  TraceRecorder::global().clear();
+  const lbmv::model::SystemConfig config({0.01, 0.02, 0.04}, 3.0);
+  const lbmv::core::CompBonusMechanism mechanism;
+  lbmv::sim::ProtocolOptions options;
+  options.horizon = 300.0;
+  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
+  (void)protocol.run_round(config, lbmv::model::BidProfile::truthful(config));
+
+  const auto events = TraceRecorder::global().events();
+  const TraceEvent* round = nullptr;
+  for (const TraceEvent& e : events) {
+    if (std::string_view(e.name) == "protocol_round") round = &e;
+  }
+  ASSERT_NE(round, nullptr);
+  // allocate -> simulate -> estimate -> pay: each inside the round, on the
+  // round's thread, and each starting after the previous one ended.
+  std::uint64_t previous_end = round->start_ns;
+  for (const std::string_view layer :
+       {"allocate", "simulate", "estimate", "pay"}) {
+    const TraceEvent* span = nullptr;
+    for (const TraceEvent& e : events) {
+      if (std::string_view(e.name) == layer) span = &e;
+    }
+    ASSERT_NE(span, nullptr) << layer;
+    EXPECT_EQ(span->tid, round->tid) << layer;
+    EXPECT_GE(span->start_ns, previous_end) << layer;
+    EXPECT_LE(span->start_ns + span->duration_ns,
+              round->start_ns + round->duration_ns)
+        << layer;
+    previous_end = span->start_ns + span->duration_ns;
+  }
+}
+
 }  // namespace

@@ -22,9 +22,10 @@
 //
 // plus an `obs_overhead` section measuring the observability layer's cost
 // on the same dispatch ring: events/sec with recording off (probes are one
-// relaxed load) and with recording on (counters + gauges live), side by
-// side so the off-state stays within the run-to-run noise of the plain
-// numbers above,
+// relaxed load) and with recording on (local tallies flushed in batches),
+// side by side so the off-state stays within the run-to-run noise of the
+// plain numbers above, and on a whole protocol round at the end-to-end
+// protocol workload's configuration (`protocol_round`),
 //
 // plus a `strategy_throughput` section for the single-deviation game
 // engine: one best-response round through the O(1) DeviationEvaluator vs
@@ -76,13 +77,14 @@
 // mode) is nested under a `config` object, never as stray top-level keys.
 //
 // `--smoke` shrinks every workload (CI-sized: n = 64, short timing
-// windows, sim/obs sections skipped) while still emitting the
-// strategy_throughput, batch_round_throughput, deviation_grid,
-// obs_timeseries, nonlinear_round, and delta_round sections
-// (deviation_grid keeping its n = 256 row and nonlinear_round/delta_round
-// their n = 1024 rows so the speedup gates stay meaningful) and running
-// the full cross-checks.
+// windows, sim_throughput skipped) while still emitting the obs_overhead
+// (64-pending ring and protocol_round only), strategy_throughput,
+// batch_round_throughput, deviation_grid, obs_timeseries,
+// nonlinear_round, and delta_round sections (deviation_grid keeping its
+// n = 256 row and nonlinear_round/delta_round their n = 1024 rows so the
+// speedup gates stay meaningful) and running the full cross-checks.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -434,6 +436,59 @@ double outcome_max_rel_err(const lbmv::core::MechanismOutcome& a,
 }
 
 /// Replicated protocol rounds per second on a pool of `threads` workers.
+/// Telemetry cost on one protocol round at the end-to-end protocol
+/// workload's configuration (n = 64 computers with log-uniform types in
+/// [0.01, 0.04], R = 32, horizon 2000: ~64k simulated jobs): rounds with
+/// recording off and on alternate, first side swapped every pair, and the
+/// medians are compared.
+JsonValue::Object protocol_round_obs_overhead(int pairs) {
+  constexpr std::size_t n = 64;
+  lbmv::util::Rng rng(64);
+  std::vector<double> types(n);
+  for (double& t : types) t = 0.01 * std::pow(4.0, rng.uniform());
+  const lbmv::model::SystemConfig config(types, 32.0);
+  const lbmv::core::CompBonusMechanism mechanism;
+  lbmv::sim::ProtocolOptions options;
+  options.horizon = 2000.0;
+  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
+  const auto intents = lbmv::model::BidProfile::truthful(config);
+  const auto timed_round = [&](bool recording, std::uint64_t seed) {
+    lbmv::obs::set_enabled(recording);
+    const auto start = std::chrono::steady_clock::now();
+    (void)protocol.run_round(config, intents, seed);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    lbmv::obs::set_enabled(false);
+    return secs;
+  };
+  (void)timed_round(false, 1);  // warm-up: arenas, families, caches
+  (void)timed_round(true, 1);
+  std::vector<double> off, on;
+  for (int k = 0; k < pairs; ++k) {
+    const auto seed = static_cast<std::uint64_t>(k + 1);
+    const bool on_first = k % 2 == 1;
+    if (on_first) on.push_back(timed_round(true, seed));
+    off.push_back(timed_round(false, seed));
+    if (!on_first) on.push_back(timed_round(true, seed));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double off_s = median(off);
+  const double on_s = median(on);
+  JsonValue::Object row;
+  row["n"] = static_cast<double>(n);
+  row["arrival_rate"] = config.arrival_rate();
+  row["horizon"] = options.horizon;
+  row["pairs"] = static_cast<double>(pairs);
+  row["disabled_seconds_per_round"] = off_s;
+  row["enabled_seconds_per_round"] = on_s;
+  row["enabled_over_disabled"] = on_s / off_s;
+  return row;
+}
+
 double replications_per_sec(std::size_t threads) {
   const lbmv::model::SystemConfig config({0.01, 0.02, 0.04}, 2.0);
   const lbmv::core::CompBonusMechanism mechanism;
@@ -604,11 +659,16 @@ int main(int argc, char** argv) {
 
   // Observability overhead on the pure dispatch ring: recording off must
   // track the plain typed numbers (same code path, probes compiled in but
-  // gated on one relaxed load); recording on shows the live probe cost.
+  // gated on one relaxed load); recording on shows the live tally cost.
+  // The protocol_round row prices telemetry on a whole protocol round.
+  // Smoke keeps the 64-pending ring and the round: CI gates both.
   JsonValue::Object obs_overhead;
-  if (!smoke) {
+  {
     JsonValue::Array dispatch;
-    for (std::size_t ring : {64ul, 4096ul, 65536ul}) {
+    const std::vector<std::size_t> rings =
+        smoke ? std::vector<std::size_t>{64}
+              : std::vector<std::size_t>{64, 4096, 65536};
+    for (const std::size_t ring : rings) {
       lbmv::obs::set_enabled(false);
       const double off = typed_dispatch_events_per_sec(ring);
       lbmv::obs::set_enabled(true);
@@ -634,7 +694,10 @@ int main(int argc, char** argv) {
         "disabled_events_per_sec uses the identical ring workload as "
         "sim_throughput.event_loop_dispatch.typed_events_per_sec; with "
         "recording disabled every probe is one relaxed atomic load, so the "
-        "two series must agree within run-to-run noise";
+        "two series must agree within run-to-run noise; with recording on "
+        "the engine tallies events locally and flushes them in batches "
+        "(DESIGN.md §9). protocol_round is the median of alternating "
+        "off/on VerifiedProtocol rounds at the e2e protocol configuration";
   }
 
   // Single-deviation game engine: one best-response round through the O(1)
@@ -1589,6 +1652,20 @@ int main(int argc, char** argv) {
               << (delta_check_pass ? "pass" : "FAIL") << "\n";
   }
 
+  {
+    // Timed last: its 64 servers register labelled families, which would
+    // otherwise inflate the sampler scrape obs_timeseries times.
+    JsonValue::Object round = protocol_round_obs_overhead(smoke ? 9 : 25);
+    std::cout << "obs_overhead protocol_round n=64: off "
+              << round["disabled_seconds_per_round"].as_number() * 1e3
+              << " ms, on "
+              << round["enabled_seconds_per_round"].as_number() * 1e3
+              << " ms (" << round["enabled_over_disabled"].as_number()
+              << "x)\n";
+    obs_overhead["protocol_round"] = std::move(round);
+    lbmv::obs::Registry::global().reset();
+  }
+
   JsonValue::Object doc;
   doc["schema"] = "lbmv-bench-perf-v1";
   {
@@ -1601,10 +1678,8 @@ int main(int argc, char** argv) {
   }
   doc["results"] = std::move(series);
   doc["derived"] = std::move(derived);
-  if (!smoke) {
-    doc["sim_throughput"] = std::move(sim_throughput);
-    doc["obs_overhead"] = std::move(obs_overhead);
-  }
+  if (!smoke) doc["sim_throughput"] = std::move(sim_throughput);
+  doc["obs_overhead"] = std::move(obs_overhead);
   doc["strategy_throughput"] = std::move(strategy_throughput);
   doc["batch_round_throughput"] = std::move(batch_round_throughput);
   doc["deviation_grid"] = std::move(deviation_grid);
