@@ -1,5 +1,7 @@
 #include "lbmv/alloc/pr_simd.h"
 
+#include <cmath>
+
 #include "lbmv/util/simd.h"
 
 namespace lbmv::alloc::simd {
@@ -18,7 +20,6 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
                                       std::span<const double> executions,
                                       std::span<double> inv_out) {
   const std::size_t n = bids.size();
-  const DVec zero = v::zero();
   const DVec one = v::set1(1.0);
   DVec acc0 = v::zero();
   DVec acc1 = v::zero();
@@ -32,12 +33,12 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   for (; i + 2 * v::kLanes <= n; i += 2 * v::kLanes) {
     const DVec b0 = v::load(&bids[i]);
     const DVec b1 = v::load(&bids[i + v::kLanes]);
-    bmask = v::mask_and(bmask, v::mask_and(v::mask_greater(b0, zero),
-                                           v::mask_greater(b1, zero)));
+    bmask = v::mask_and(bmask, v::mask_and(v::mask_positive_finite(b0),
+                                           v::mask_positive_finite(b1)));
     const DVec e0 = v::load(&executions[i]);
     const DVec e1 = v::load(&executions[i + v::kLanes]);
-    emask = v::mask_and(emask, v::mask_and(v::mask_greater(e0, zero),
-                                           v::mask_greater(e1, zero)));
+    emask = v::mask_and(emask, v::mask_and(v::mask_positive_finite(e0),
+                                           v::mask_positive_finite(e1)));
     const DVec r0 = v::div(one, b0);
     const DVec r1 = v::div(one, b1);
     v::store(&inv_out[i], r0);
@@ -49,9 +50,9 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   }
   if (i + v::kLanes <= n) {
     const DVec b0 = v::load(&bids[i]);
-    bmask = v::mask_and(bmask, v::mask_greater(b0, zero));
+    bmask = v::mask_and(bmask, v::mask_positive_finite(b0));
     const DVec e0 = v::load(&executions[i]);
-    emask = v::mask_and(emask, v::mask_greater(e0, zero));
+    emask = v::mask_and(emask, v::mask_positive_finite(e0));
     const DVec r0 = v::div(one, b0);
     v::store(&inv_out[i], r0);
     acc0 = v::add(acc0, r0);
@@ -63,8 +64,8 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   double partial = v::hsum(v::add(acc0, acc1));
   double weight = v::hsum(v::add(wacc0, wacc1));
   for (; i < n; ++i) {
-    bids_ok = bids_ok && bids[i] > 0.0;
-    execs_ok = execs_ok && executions[i] > 0.0;
+    bids_ok = bids_ok && std::isfinite(bids[i]) && bids[i] > 0.0;
+    execs_ok = execs_ok && std::isfinite(executions[i]) && executions[i] > 0.0;
     const double r = 1.0 / bids[i];
     inv_out[i] = r;
     partial += r;

@@ -13,11 +13,11 @@
 /// results for any fan-out by cutting agents into fixed-size blocks and
 /// reducing the returned partials in block order.
 ///
-/// Validation is by mask, not by throw: kernels report "every lane positive"
-/// / "every denominator safe" flags and the caller re-runs the scalar
-/// validation loop on failure so the diagnostic (message, offending agent)
-/// is byte-identical to the scalar path's.  NaNs fail the ordered compares
-/// and are flagged like non-positive values.
+/// Validation is by mask, not by throw: kernels report "every lane positive
+/// and finite" / "every denominator safe" flags and the caller re-runs the
+/// scalar validation loop on failure so the diagnostic (message, offending
+/// agent) is byte-identical to the scalar path's.  NaNs fail the ordered
+/// compares and are flagged like non-positive values.
 
 #include <cstddef>
 #include <span>
@@ -25,12 +25,12 @@
 namespace lbmv::alloc::simd {
 
 /// Result of one reciprocal block: the block's partial sums under the fixed
-/// tree, plus the positivity masks of both input planes.
+/// tree, plus whether every entry of each input plane is positive and finite.
 struct ReciprocalPartial {
   double inverse_sum = 0.0;  ///< partial S      = sum 1/b_i
   double exec_weight = 0.0;  ///< partial W      = sum (e_i * inv_i) * inv_i
-  bool bids_positive = true;
-  bool executions_positive = true;
+  bool bids_valid = true;
+  bool executions_valid = true;
 };
 
 /// inv_out[i] = 1.0 / bids[i] for the whole block (the same IEEE division

@@ -938,8 +938,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
   std::uint64_t loo_fallbacks = 0;
-  std::uint64_t delta_rounds = 0;
-  std::uint64_t full_rebuilds = 0;
   for (const auto& [name, value] : snap.counters) {
     if (name.rfind("lbmv_server_completions_total{", 0) == 0) {
       counted += value;
@@ -952,8 +950,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
     if (name == "lbmv_mech_loo_fallbacks_total") loo_fallbacks = value;
-    if (name == "lbmv_core_delta_rounds_total") delta_rounds = value;
-    if (name == "lbmv_core_full_rebuilds_total") full_rebuilds = value;
   }
   std::size_t measured = 0;
   for (const auto& round : merged.rounds) {
@@ -973,8 +969,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << " fused nonlinear-family rounds (" << newton_iters
       << " exact Newton iterations, " << loo_fallbacks
       << " leave-one-out model fallbacks)\n"
-      << "delta engine: " << delta_rounds << " O(k) delta rounds absorbed, "
-      << full_rebuilds << " exact aggregate rebuilds\n"
       << "trace: " << spans << " spans retained, "
       << obs::TraceRecorder::global().dropped() << " dropped";
   if (!trace_path.empty()) out << " -> " << trace_path;

@@ -213,7 +213,7 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
   double* const a = ws.sqrt_mu.data();
   double* const mue = ws.inv_execs.data();
 
-  // ---- P1: mu / a / 1/e planes, sums, positivity masks -------------------
+  // ---- P1: mu / a / 1/e planes, sums, validity masks ---------------------
   // Fixed reduction tree (pr_simd.h's idiom): two vector accumulators over
   // 8-agent steps, leftover full vector into the first, hsum, scalar tail
   // in index order.
@@ -229,8 +229,8 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
   for (; i + 2 * v::kLanes <= n; i += 2 * v::kLanes) {
     const DVec b0 = v::load(&bids[i]);
     const DVec b1 = v::load(&bids[i + v::kLanes]);
-    bok = v::mask_and(bok, v::mask_greater(b0, vzero));
-    bok = v::mask_and(bok, v::mask_greater(b1, vzero));
+    bok = v::mask_and(bok, v::mask_positive_finite(b0));
+    bok = v::mask_and(bok, v::mask_positive_finite(b1));
     const DVec m0 = v::div(vone, b0);
     const DVec m1 = v::div(vone, b1);
     v::store(&mu[i], m0);
@@ -245,14 +245,14 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
     va1 = v::add(va1, s1);
     const DVec e0 = v::load(&executions[i]);
     const DVec e1 = v::load(&executions[i + v::kLanes]);
-    eok = v::mask_and(eok, v::mask_greater(e0, vzero));
-    eok = v::mask_and(eok, v::mask_greater(e1, vzero));
+    eok = v::mask_and(eok, v::mask_positive_finite(e0));
+    eok = v::mask_and(eok, v::mask_positive_finite(e1));
     v::store(&mue[i], v::div(vone, e0));
     v::store(&mue[i + v::kLanes], v::div(vone, e1));
   }
   for (; i + v::kLanes <= n; i += v::kLanes) {
     const DVec b0 = v::load(&bids[i]);
-    bok = v::mask_and(bok, v::mask_greater(b0, vzero));
+    bok = v::mask_and(bok, v::mask_positive_finite(b0));
     const DVec m0 = v::div(vone, b0);
     v::store(&mu[i], m0);
     const DVec s0 = v::sqrt(m0);
@@ -260,14 +260,15 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
     vmu0 = v::add(vmu0, m0);
     va0 = v::add(va0, s0);
     const DVec e0 = v::load(&executions[i]);
-    eok = v::mask_and(eok, v::mask_greater(e0, vzero));
+    eok = v::mask_and(eok, v::mask_positive_finite(e0));
     v::store(&mue[i], v::div(vone, e0));
   }
   double sum_mu = v::hsum(v::add(vmu0, vmu1));
   double sum_a = v::hsum(v::add(va0, va1));
   bool inputs_ok = v::mask_all_true(bok) && v::mask_all_true(eok);
   for (; i < n; ++i) {
-    inputs_ok = inputs_ok && bids[i] > 0.0 && executions[i] > 0.0;
+    inputs_ok = inputs_ok && std::isfinite(bids[i]) && bids[i] > 0.0 &&
+                std::isfinite(executions[i]) && executions[i] > 0.0;
     mu[i] = 1.0 / bids[i];
     a[i] = std::sqrt(mu[i]);
     mue[i] = 1.0 / executions[i];
@@ -278,8 +279,10 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
     // Re-run the scalar validation loop so the diagnostic names the first
     // offender in the order the generic path would.
     for (std::size_t j = 0; j < n; ++j) {
-      LBMV_REQUIRE(bids[j] > 0.0, "bids must be positive");
-      LBMV_REQUIRE(executions[j] > 0.0, "execution values must be positive");
+      LBMV_REQUIRE(std::isfinite(bids[j]) && bids[j] > 0.0,
+                   "bids must be positive and finite");
+      LBMV_REQUIRE(std::isfinite(executions[j]) && executions[j] > 0.0,
+                   "execution values must be positive and finite");
     }
   }
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
@@ -437,8 +440,10 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
       "the fused workload engine serves leave-one-out rules and no-payment");
   const std::size_t n = bids.size();
   for (std::size_t j = 0; j < n; ++j) {
-    LBMV_REQUIRE(bids[j] > 0.0, "bids must be positive");
-    LBMV_REQUIRE(executions[j] > 0.0, "execution values must be positive");
+    LBMV_REQUIRE(std::isfinite(bids[j]) && bids[j] > 0.0,
+                 "bids must be positive and finite");
+    LBMV_REQUIRE(std::isfinite(executions[j]) && executions[j] > 0.0,
+                 "execution values must be positive and finite");
   }
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   const double gamma = family.gamma();

@@ -166,8 +166,10 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-    LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
+    LBMV_REQUIRE(std::isfinite(bids[i]) && bids[i] > 0.0,
+                 "bids must be positive and finite");
+    LBMV_REQUIRE(std::isfinite(executions[i]) && executions[i] > 0.0,
+                 "execution values must be positive and finite");
   }
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
 

@@ -90,8 +90,7 @@ class AgentUtilityContext {
 };
 
 /// One agent's pending (bid, execution) change, addressed by index.  The
-/// unit of work for batched commits (ProfileUtilityContext::commit_batch)
-/// and for the cross-round delta engine (delta_engine.h).
+/// unit of work for batched commits (ProfileUtilityContext::commit_batch).
 struct BidDelta {
   std::size_t agent = 0;
   double bid = 0.0;

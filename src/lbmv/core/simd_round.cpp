@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -397,8 +398,8 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
     ws.block_partials[2 * b] = part.inverse_sum;
     ws.block_partials[2 * b + 1] = part.exec_weight;
     ws.block_ok[b] =
-        static_cast<unsigned char>((part.bids_positive ? 1u : 0u) |
-                                   (part.executions_positive ? 2u : 0u));
+        static_cast<unsigned char>((part.bids_valid ? 1u : 0u) |
+                                   (part.executions_valid ? 2u : 0u));
   });
   bool inputs_ok = true;
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -408,8 +409,10 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
     // Re-run the scalar validation loop so the diagnostic names the first
     // offender in the same order the scalar path would.
     for (std::size_t i = 0; i < n; ++i) {
-      LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-      LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
+      LBMV_REQUIRE(std::isfinite(bids[i]) && bids[i] > 0.0,
+                   "bids must be positive and finite");
+      LBMV_REQUIRE(std::isfinite(executions[i]) && executions[i] > 0.0,
+                   "execution values must be positive and finite");
     }
   }
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");

@@ -1,5 +1,7 @@
 #include "lbmv/model/bids.h"
 
+#include <cmath>
+
 #include "lbmv/util/error.h"
 
 namespace lbmv::model {
@@ -46,8 +48,10 @@ void BidProfile::validate(std::size_t n) const {
   LBMV_REQUIRE(bids.size() == n, "bid vector size mismatch");
   LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
   for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-    LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
+    LBMV_REQUIRE(std::isfinite(bids[i]) && bids[i] > 0.0,
+                 "bids must be positive and finite");
+    LBMV_REQUIRE(std::isfinite(executions[i]) && executions[i] > 0.0,
+                 "execution values must be positive and finite");
   }
 }
 

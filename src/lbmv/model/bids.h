@@ -43,7 +43,7 @@ struct BidProfile {
   /// carried across a leave-one-out loop allocates at most once.
   void copy_without_into(std::size_t i, BidProfile& scratch) const;
 
-  /// Throw unless sizes match \p n and all values are positive.
+  /// Throw unless sizes match \p n and all values are positive and finite.
   void validate(std::size_t n) const;
 
   /// Whether every agent executes at least as fast as it could pretend:

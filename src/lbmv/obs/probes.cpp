@@ -49,18 +49,6 @@ MechProbes& MechProbes::get() {
   return probes;
 }
 
-CoreProbes& CoreProbes::get() {
-  static CoreProbes probes = [] {
-    Registry& r = Registry::global();
-    CoreProbes p;
-    p.delta_rounds = r.counter("lbmv_core_delta_rounds_total");
-    p.full_rebuilds = r.counter("lbmv_core_full_rebuilds_total");
-    p.dirty_agents = r.histogram("lbmv_core_delta_dirty_agents");
-    return p;
-  }();
-  return probes;
-}
-
 PoolProbes& PoolProbes::get() {
   static PoolProbes probes = [] {
     Registry& r = Registry::global();

@@ -46,10 +46,8 @@ EpochReport run_epochs(const core::Mechanism& mechanism,
   report.cumulative_utility.assign(n, 0.0);
   report.records.reserve(static_cast<std::size_t>(options.epochs));
   double efficiency_sum = 0.0;
-  // One delta engine for the whole horizon: each epoch's round diff-syncs
-  // against the previous epoch's committed planes, so the per-epoch cost is
-  // O(k) in the number of drifted entries plus one (cached, bit-identical)
-  // materialization — a lag-frozen fleet with zero drift re-runs nothing.
+  // One cached round for the whole horizon: an epoch whose profile equals
+  // the previous one's reuses that outcome instead of re-running the round.
   model::BidProfile profile;
   profile.bids.resize(n);
   profile.executions.resize(n);

@@ -124,10 +124,8 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   }
 
   // Step 5: payments (n messages) — at the estimates, and at the paper's
-  // oracle values for comparison.  Both rounds share one delta engine: the
-  // bids are identical, only the execution plane differs between verified
-  // and intents, so the second round is an O(k)-in-changed-entries sync of
-  // the first rather than a second from-scratch round.
+  // oracle values for comparison.  Both rounds share one cached engine, so
+  // when every estimate equals its intent the oracle round is not re-run.
   {
     const obs::Span pay_span("pay", "protocol");
     core::DeltaRoundEngine engine(*mechanism_, config.family_ptr(),

@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #ifndef LBMV_SIMD
 #define LBMV_SIMD 0
@@ -317,6 +318,14 @@ inline void store_records6(double* dst, DVec f0, DVec f1, DVec f2, DVec f3,
 /// reduction tree is part of the kernel contract rather than backend whim.
 [[nodiscard]] inline double hsum(DVec a) {
   return (lane(a, 0) + lane(a, 1)) + (lane(a, 2) + lane(a, 3));
+}
+
+/// Lanes with 0 < a < inf: the round engines' input-validity test.  NaN
+/// fails both ordered compares.
+[[nodiscard]] inline DVec mask_positive_finite(DVec a) {
+  return mask_and(mask_greater(a, zero()),
+                  mask_greater(set1(std::numeric_limits<double>::infinity()),
+                               a));
 }
 
 }  // namespace lbmv::util::simd

@@ -1,16 +1,14 @@
-// Differential suite for the cross-round delta engine (DESIGN.md §15): the
-// O(k)-maintained aggregates must stay within 1e-9 of a from-scratch
-// rebuild across every mechanism and latency family — through bid/execution
-// deltas, membership add/remove churn (including remove-then-re-add round
-// trips), and 300+ deltas of accumulated drift — while the lazily
-// materialized outcome stays bit-identical to the full-round path, and the
-// hot loops wired onto the engine (epochs, protocol, learning) reproduce
-// the full-round trajectories bit-for-bit at 1, 2 and 8 threads.
+// Suite for the cached cross-round engine (DESIGN.md §15): its outcome is
+// bit-identical to Mechanism::run_into at the synced planes, an unchanged
+// sync re-runs nothing, every round entry rejects non-positive and
+// non-finite inputs with a typed error, and the loops wired onto the engine
+// (epochs, protocol, learning) reproduce the full-round trajectories
+// bit-for-bit at 1, 2 and 8 threads.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <deque>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,10 +20,13 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/delta_engine.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/sim/epochs.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/strategy/deviation.h"
@@ -40,15 +41,8 @@ using lbmv::core::BidDelta;
 using lbmv::core::DeltaRoundEngine;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
-using lbmv::core::RoundScalars;
 using lbmv::model::LatencyFamily;
 using lbmv::util::PreconditionError;
-
-constexpr double kTol = 1e-9;
-
-double rel_err(double a, double b) {
-  return std::fabs(a - b) / std::max({1.0, std::fabs(a), std::fabs(b)});
-}
 
 /// One (mechanism, family, feasible arrival rate) test case.
 struct Case {
@@ -63,6 +57,27 @@ std::vector<double> band_types(std::size_t n, std::uint64_t seed) {
   std::vector<double> t(n);
   for (double& ti : t) ti = 0.8 + 0.5 * rng.uniform();
   return t;
+}
+
+lbmv::model::BidProfile profile(std::vector<double> bids,
+                                std::vector<double> executions) {
+  return {std::move(bids), std::move(executions)};
+}
+
+/// Expect \p fn to raise a PreconditionError whose what() contains
+/// \p message.  LBMV_REQUIRE decorates what() with the failed expression
+/// and source location; the diagnostic text itself must survive verbatim.
+template <class Fn>
+void expect_throw(Fn&& fn, const std::string& message,
+                  const std::string& context = "") {
+  try {
+    fn();
+    ADD_FAILURE() << "expected PreconditionError: " << message << " "
+                  << context;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << context << ": " << e.what();
+  }
 }
 
 /// Every mechanism on every family it supports.  Arrival rates keep every
@@ -136,140 +151,24 @@ std::vector<Case> all_cases(std::size_t n, std::uint64_t seed) {
   return cases;
 }
 
-/// Delta-maintained aggregates vs a freshly-built engine on the same planes.
-void expect_matches_fresh(DeltaRoundEngine& engine, const Case& c,
-                          const std::string& what) {
-  DeltaRoundEngine fresh(*c.mechanism, c.family, c.arrival_rate,
-                         engine.bids(), engine.executions());
-  const RoundScalars a = engine.scalars();
-  const RoundScalars b = fresh.scalars();
-  EXPECT_LT(rel_err(a.optimal_latency, b.optimal_latency), kTol)
-      << c.name << ": " << what;
-  EXPECT_LT(rel_err(a.total_cost, b.total_cost), kTol) << c.name << ": "
-                                                       << what;
-  EXPECT_LT(rel_err(a.actual_latency, b.actual_latency), kTol)
-      << c.name << ": " << what;
-  EXPECT_LT(rel_err(a.alloc_parameter, b.alloc_parameter), kTol)
-      << c.name << ": " << what;
-  for (std::size_t i = 0; i < engine.size(); i += 7) {
-    EXPECT_LT(rel_err(engine.leave_one_out(i), fresh.leave_one_out(i)), kTol)
-        << c.name << ": " << what << " (leave-one-out agent " << i << ")";
-  }
-  // The optimum must also agree with the allocator queried directly.
-  EXPECT_LT(rel_err(a.optimal_latency,
-                    c.mechanism->allocator().optimal_latency(
-                        *c.family, engine.bids(), c.arrival_rate)),
-            kTol)
-      << c.name << ": " << what << " (allocator ground truth)";
-}
-
-TEST(DeltaVsRebuild, BidDeltasAcrossAllMechanismsAndFamilies) {
-  const std::size_t n = 48;
-  for (const Case& c : all_cases(n, 11)) {
-    const auto types = band_types(n, 11);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(17);
-    for (int d = 0; d < 100; ++d) {
-      const auto agent = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const double bid = types[agent] * (0.8 + 0.4 * rng.uniform());
-      engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-    }
-    expect_matches_fresh(engine, c, "after 100 bid deltas");
-  }
-}
-
-TEST(DeltaVsRebuild, DriftStaysBoundedAfterHundredsOfDeltas) {
-  const std::size_t n = 40;
-  for (const Case& c : all_cases(n, 23)) {
-    const auto types = band_types(n, 23);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(29);
-    // 350 deltas crosses several max(64, n) rebuild periods; the drift
-    // between rebuilds (and right before one) must stay under the 1e-9
-    // contract.
-    for (int d = 0; d < 350; ++d) {
-      const auto agent = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const double bid = types[agent] * (0.8 + 0.4 * rng.uniform());
-      engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-      if (d % 97 == 0) (void)engine.scalars();  // query mid-stream too
-    }
-    EXPECT_LT(engine.deltas_since_rebuild(), std::max<std::size_t>(64, n))
-        << c.name;
-    expect_matches_fresh(engine, c, "after 350 deltas");
-  }
-}
-
-TEST(Membership, AddAndRemoveMatchFullRebuild) {
-  const std::size_t n = 24;
-  for (const Case& c : all_cases(n, 31)) {
-    const auto types = band_types(n, 31);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(37);
-    for (int d = 0; d < 30; ++d) {
-      const double roll = rng.uniform();
-      if (roll < 0.3 && engine.size() >= 4) {
-        engine.remove_agent(static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(engine.size()) - 1)));
-      } else if (roll < 0.6) {
-        (void)engine.add_agent(0.8 + 0.5 * rng.uniform(),
-                               0.8 + 0.6 * rng.uniform());
-      } else {
-        const auto agent = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(engine.size()) - 1));
-        const double bid = 0.8 + 0.5 * rng.uniform();
-        engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-      }
-    }
-    expect_matches_fresh(engine, c, "after membership churn");
-  }
-}
-
-TEST(Membership, RemoveThenReAddRoundTripsTheScalars) {
-  const std::size_t n = 16;
-  for (const Case& c : all_cases(n, 41)) {
-    const auto types = band_types(n, 41);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    const RoundScalars before = engine.scalars();
-    // Remove from the middle (exercises the swap-with-last semantics), then
-    // re-add the same (bid, execution): the multiset of agents is restored,
-    // and every scalar is permutation-invariant.
-    const std::size_t victim = n / 2;
-    const double bid = engine.bids()[victim];
-    const double exec = engine.executions()[victim];
-    engine.remove_agent(victim);
-    EXPECT_EQ(engine.size(), n - 1) << c.name;
-    (void)engine.add_agent(bid, exec);
-    EXPECT_EQ(engine.size(), n) << c.name;
-    const RoundScalars after = engine.scalars();
-    EXPECT_LT(rel_err(before.optimal_latency, after.optimal_latency), kTol)
-        << c.name;
-    EXPECT_LT(rel_err(before.actual_latency, after.actual_latency), kTol)
-        << c.name;
-    EXPECT_LT(rel_err(before.alloc_parameter, after.alloc_parameter), kTol)
-        << c.name;
-    expect_matches_fresh(engine, c, "after remove/re-add round trip");
-  }
-}
-
 TEST(Outcome, MaterializationIsBitIdenticalToRunInto) {
   const std::size_t n = 32;
   for (const Case& c : all_cases(n, 47)) {
     const auto types = band_types(n, 47);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    engine.apply(3, types[3] * 1.1, types[3] * 1.12);
-    engine.apply(n - 1, types[n - 1] * 0.9, types[n - 1] * 0.93);
+    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate,
+                            profile(types, types));
+    auto bids = types;
+    auto executions = types;
+    bids[3] *= 1.1;
+    executions[3] *= 1.12;
+    bids[n - 1] *= 0.9;
+    executions[n - 1] *= 0.93;
+    engine.sync(bids, executions);
 
     lbmv::core::RoundWorkspace ws;
     MechanismOutcome expected;
-    c.mechanism->run_into(*c.family, c.arrival_rate, engine.bids(),
-                          engine.executions(), expected, ws);
+    c.mechanism->run_into(*c.family, c.arrival_rate, bids, executions,
+                          expected, ws);
     const MechanismOutcome& actual = engine.outcome();
     ASSERT_EQ(actual.agents.size(), expected.agents.size()) << c.name;
     EXPECT_EQ(actual.actual_latency, expected.actual_latency) << c.name;
@@ -285,26 +184,46 @@ TEST(Outcome, MaterializationIsBitIdenticalToRunInto) {
   }
 }
 
-TEST(Sync, QuiescentRoundsReuseEveryCache) {
+TEST(Sync, QuiescentRoundsReuseTheCachedOutcome) {
+  if (!lbmv::obs::kCompiledIn) {
+    GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)";
+  }
   const std::size_t n = 12;
   const auto types = band_types(n, 53);
   const lbmv::core::CompBonusMechanism mechanism;
   const lbmv::model::SystemConfig config(types, 20.0);
-  DeltaRoundEngine engine(mechanism, config.family_ptr(), 20.0, types, types);
+  const auto mech_rounds = [] {
+    const auto snap = lbmv::obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("lbmv_mech_rounds_total");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+
+  lbmv::obs::set_enabled(true);
+  DeltaRoundEngine engine(mechanism, config.family_ptr(), 20.0,
+                          profile(types, types));
   (void)engine.outcome();
-  const std::size_t rebuild_mark = engine.deltas_since_rebuild();
+  const std::uint64_t before = mech_rounds();
 
-  // Unchanged planes: zero deltas applied, no cache invalidated.
-  EXPECT_EQ(engine.sync(types, types), 0u);
-  EXPECT_EQ(engine.deltas_since_rebuild(), rebuild_mark);
+  // Unchanged planes: the cached outcome is served, no round runs.
+  engine.sync(types, types);
+  (void)engine.outcome();
+  const std::uint64_t quiescent = mech_rounds();
 
-  // Two changed entries: exactly two deltas, as one delta round.
+  // Two changed entries: exactly one round.
   auto moved = types;
   moved[2] *= 1.2;
   moved[9] *= 0.85;
-  EXPECT_EQ(engine.sync(moved, types), 2u);
-  EXPECT_EQ(engine.bids()[2], moved[2]);
-  EXPECT_EQ(engine.bids()[9], moved[9]);
+  engine.sync(moved, types);
+  const MechanismOutcome& outcome = engine.outcome();
+  const std::uint64_t changed = mech_rounds();
+  lbmv::obs::set_enabled(false);
+
+  EXPECT_EQ(quiescent, before);
+  EXPECT_EQ(changed, before + 1);
+  MechanismOutcome expected;
+  lbmv::core::RoundWorkspace ws;
+  mechanism.run_into(config.family(), 20.0, moved, types, expected, ws);
+  EXPECT_EQ(outcome.actual_latency, expected.actual_latency);
 }
 
 TEST(Errors, DiagnosticsArePreservedBitForBit) {
@@ -313,62 +232,103 @@ TEST(Errors, DiagnosticsArePreservedBitForBit) {
   const lbmv::model::SystemConfig config(types, 20.0);
   const auto family = config.family_ptr();
 
-  // LBMV_REQUIRE decorates what() with the failed expression and source
-  // location; the diagnostic text itself must survive verbatim.
-  const auto expect_throw = [](auto&& fn, const std::string& message) {
-    try {
-      fn();
-      FAIL() << "expected PreconditionError: " << message;
-    } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-          << e.what();
-    }
-  };
-
   expect_throw(
       [&] {
         DeltaRoundEngine engine(mechanism, family, 20.0,
-                                std::vector<double>{1.0},
-                                std::vector<double>{1.0});
+                                profile({1.0}, {1.0}));
       },
       "mechanisms require at least two agents");
   expect_throw(
       [&] {
-        DeltaRoundEngine engine(mechanism, family, 20.0, types,
-                                std::vector<double>{1.0, 2.0});
+        DeltaRoundEngine engine(mechanism, family, 20.0,
+                                profile(types, {1.0, 2.0}));
       },
       "execution vector size mismatch");
   expect_throw(
-      [&] { DeltaRoundEngine engine(mechanism, family, 0.0, types, types); },
+      [&] {
+        DeltaRoundEngine engine(mechanism, family, 0.0, profile(types, types));
+      },
       "arrival rate must be positive");
   expect_throw(
       [&] {
         auto bad = types;
         bad[3] = -1.0;
-        DeltaRoundEngine engine(mechanism, family, 20.0, bad, types);
+        DeltaRoundEngine engine(mechanism, family, 20.0, profile(bad, types));
       },
       "bids must be positive");
 
-  DeltaRoundEngine engine(mechanism, family, 20.0, types, types);
-  expect_throw([&] { engine.apply(99, 1.0, 1.0); }, "agent index out of range");
-  expect_throw([&] { engine.apply(0, 0.0, 1.0); }, "bids must be positive");
-  expect_throw([&] { engine.apply(0, 1.0, -2.0); },
-               "execution values must be positive");
-  expect_throw([&] { engine.remove_agent(99); }, "agent index out of range");
+  DeltaRoundEngine engine(mechanism, family, 20.0, profile(types, types));
+  const std::vector<double> pair{1.0, 2.0};
+  expect_throw([&] { engine.sync(pair, pair); },
+               "sync requires an unchanged agent count");
+  expect_throw([&] { engine.sync(types, pair); },
+               "execution vector size mismatch");
+  auto bad = types;
+  bad[0] = 0.0;
+  expect_throw(
+      [&] {
+        engine.sync(bad, types);
+        (void)engine.outcome();
+      },
+      "bids must be positive");
+  bad[0] = -2.0;
+  expect_throw(
+      [&] {
+        engine.sync(types, bad);
+        (void)engine.outcome();
+      },
+      "execution values must be positive");
+}
 
-  // The infeasible M/M/1 round must re-raise the allocator's own typed
-  // error through the O(1) scalars path, not a homegrown variant.
-  const auto mm1 = std::make_shared<const lbmv::model::MM1Family>();
-  const lbmv::core::CompBonusMechanism mm1_mechanism(
-      std::make_shared<const lbmv::alloc::MM1Allocator>());
-  double sum_mu = 0.0;
-  for (double t : types) sum_mu += 1.0 / t;
-  DeltaRoundEngine saturated(mm1_mechanism, mm1, 0.5 * sum_mu, types, types);
-  // Push every bid up until the committed capacity can no longer carry R.
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    saturated.apply(i, types[i] * 20.0, types[i] * 20.0);
+TEST(Errors, InfiniteInputsRaiseTypedErrors) {
+  // +inf passes a bare "> 0" test; every round entry must reject it on
+  // every family and on both kernel backends, directly and through the
+  // engine.  n = 13 puts agent 2 in a vector lane and agent 12 in the
+  // scalar tail of the blocked kernels.
+  const std::size_t n = 13;
+  const double inf = std::numeric_limits<double>::infinity();
+  const lbmv::core::KernelBackend saved = lbmv::core::kernel_backend();
+  for (const auto backend : {lbmv::core::KernelBackend::kScalar,
+                             lbmv::core::KernelBackend::kVectorized}) {
+    lbmv::core::set_kernel_backend(backend);
+    for (const Case& c : all_cases(n, 89)) {
+      const auto types = band_types(n, 89);
+      for (const std::size_t agent : {std::size_t{2}, n - 1}) {
+        for (const bool on_bid : {true, false}) {
+          auto bids = types;
+          auto executions = types;
+          (on_bid ? bids : executions)[agent] = inf;
+          const std::string what =
+              c.name + (on_bid ? " bid " : " execution ") +
+              std::to_string(agent) + " backend " +
+              std::to_string(static_cast<int>(backend));
+          const std::string message =
+              on_bid ? "bids must be positive and finite"
+                     : "execution values must be positive and finite";
+          MechanismOutcome out;
+          lbmv::core::RoundWorkspace ws;
+          expect_throw(
+              [&] {
+                c.mechanism->run_into(*c.family, c.arrival_rate, bids,
+                                      executions, out, ws);
+              },
+              message, what);
+          expect_throw(
+              [&] {
+                DeltaRoundEngine engine(*c.mechanism, c.family,
+                                        c.arrival_rate,
+                                        profile(bids, executions));
+              },
+              message, what);
+          DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate,
+                                  profile(types, types));
+          engine.sync(bids, executions);
+          expect_throw([&] { (void)engine.outcome(); }, message, what);
+        }
+      }
+    }
   }
-  EXPECT_THROW((void)saturated.scalars(), PreconditionError);
+  lbmv::core::set_kernel_backend(saved);
 }
 
 TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {

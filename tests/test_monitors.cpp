@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "lbmv/core/comp_bonus.h"
-#include "lbmv/core/delta_engine.h"
 #include "lbmv/core/invariants.h"
 #include "lbmv/core/profile_context.h"
 #include "lbmv/model/bids.h"
@@ -375,16 +374,6 @@ TEST(NamingConvention, EveryRegisteredFamilyFollowsTheConvention) {
   dynamics.max_rounds = 2;
   (void)lbmv::strategy::best_response_dynamics(mechanism, game_config,
                                                dynamics);
-
-  // Delta-round engine: one O(k) delta plus a forced exact rebuild, so the
-  // lbmv_core_* counter/histogram families all register before the audit.
-  lbmv::core::DeltaRoundEngine engine(mechanism, game_config.family_ptr(),
-                                      game_config.arrival_rate(),
-                                      lbmv::model::BidProfile::truthful(
-                                          game_config));
-  engine.apply(0, 1.5, 1.5);
-  (void)engine.scalars();
-  engine.rebuild();
 
   // lbmv_<subsystem>_<metric>; counters additionally end in _total.
   const std::regex counter_re(

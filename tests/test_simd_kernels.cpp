@@ -234,13 +234,20 @@ TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
   Profile p = random_profile(37, 8);
   std::vector<double> inv(37);
   auto part = lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv);
-  EXPECT_TRUE(part.bids_positive);
-  EXPECT_TRUE(part.executions_positive);
+  EXPECT_TRUE(part.bids_valid);
+  EXPECT_TRUE(part.executions_valid);
   p.bids[17] = 0.0;
   p.executions[36] = std::numeric_limits<double>::quiet_NaN();  // tail lane
   part = lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv);
-  EXPECT_FALSE(part.bids_positive);
-  EXPECT_FALSE(part.executions_positive);
+  EXPECT_FALSE(part.bids_valid);
+  EXPECT_FALSE(part.executions_valid);
+  // +inf is positive but not finite: flagged in a vector lane and the tail.
+  p = random_profile(37, 8);
+  p.bids[3] = std::numeric_limits<double>::infinity();
+  p.executions[36] = std::numeric_limits<double>::infinity();
+  part = lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv);
+  EXPECT_FALSE(part.bids_valid);
+  EXPECT_FALSE(part.executions_valid);
 }
 
 // ---------------------------------------------------------------------------
