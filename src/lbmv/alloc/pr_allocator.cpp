@@ -19,8 +19,8 @@ double inverse_sum(std::span<const double> types) {
 
 }  // namespace
 
-PrSolve pr_allocate_into(std::span<const double> types, double arrival_rate,
-                         std::span<double> rates_out) {
+void pr_allocate_into(std::span<const double> types, double arrival_rate,
+                      std::span<double> rates_out) {
   LBMV_REQUIRE(!types.empty(), "PR algorithm requires at least one computer");
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   LBMV_REQUIRE(rates_out.size() == types.size(),
@@ -29,13 +29,12 @@ PrSolve pr_allocate_into(std::span<const double> types, double arrival_rate,
   for (std::size_t i = 0; i < types.size(); ++i) {
     rates_out[i] = (1.0 / types[i]) / s * arrival_rate;
   }
-  return PrSolve{s, arrival_rate * arrival_rate / s};
 }
 
 model::Allocation pr_allocate(std::span<const double> types,
                               double arrival_rate) {
   std::vector<double> x(types.size());
-  (void)pr_allocate_into(types, arrival_rate, x);
+  pr_allocate_into(types, arrival_rate, x);
   return model::Allocation(std::move(x));
 }
 
@@ -97,7 +96,7 @@ void PRAllocator::allocate_into(const model::LatencyFamily&,
                                 double arrival_rate,
                                 std::vector<double>& rates) const {
   rates.resize(types.size());
-  (void)pr_allocate_into(types, arrival_rate, rates);
+  pr_allocate_into(types, arrival_rate, rates);
 }
 
 double PRAllocator::optimal_latency(const model::LatencyFamily& family,

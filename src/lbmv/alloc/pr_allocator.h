@@ -28,21 +28,11 @@ namespace lbmv::alloc {
 /// the vectorized guard mask (pr_simd.h) so both reject the same profiles.
 inline constexpr double kLeaveOneOutMinRelativeGap = 1e-9;
 
-/// Everything the PR closed form derives from one pass over the types.
-/// Returned by pr_allocate_into so callers that need the allocation, the
-/// optimum, and the leave-one-out vector never accumulate S twice.
-struct PrSolve {
-  double inverse_sum = 0.0;      ///< S = sum_j 1/t_j
-  double optimal_latency = 0.0;  ///< L* = R^2 / S (paper eq. (4))
-};
-
-/// Fused single-pass solve: fills rates_out[i] = (1/t_i)/S * R and returns
-/// {S, R^2/S}.  This is the allocation-free kernel entry point — no heap
-/// traffic, \p rates_out must already have types.size() slots.  Both
-/// pr_allocate and pr_optimal_latency reduce to it, so the inverse sum is
-/// accumulated exactly once however many PR quantities a round needs.
-PrSolve pr_allocate_into(std::span<const double> types, double arrival_rate,
-                         std::span<double> rates_out);
+/// Fills rates_out[i] = (1/t_i)/S * R with S = sum_j 1/t_j.  This is the
+/// allocation-free kernel entry point — no heap traffic, \p rates_out must
+/// already have types.size() slots.
+void pr_allocate_into(std::span<const double> types, double arrival_rate,
+                      std::span<double> rates_out);
 
 /// Closed-form PR allocation.  Requires positive types and arrival rate.
 [[nodiscard]] model::Allocation pr_allocate(std::span<const double> types,
@@ -68,7 +58,7 @@ void pr_leave_one_out_into(std::span<const double> types, double arrival_rate,
                            std::span<double> out);
 
 /// Leave-one-out optima when S = sum_j 1/t_j is already known (e.g. from
-/// pr_allocate_into in the same round): skips the accumulation pass.
+/// the vectorized round's reduction): skips the accumulation pass.
 ///
 /// Guards against catastrophic cancellation: when one agent is so fast that
 /// S - 1/t_i underflows to a value carrying no correct digits (the

@@ -16,7 +16,7 @@
 /// Validation is by mask, not by throw: kernels report "every lane positive
 /// and finite" / "every denominator safe" flags and the caller re-runs the
 /// scalar validation loop on failure so the diagnostic (message, offending
-/// agent) is byte-identical to the scalar path's.  NaNs fail the ordered
+/// agent) is byte-identical to the generic path's.  NaNs fail the ordered
 /// compares and are flagged like non-positive values.
 
 #include <cstddef>
@@ -34,7 +34,7 @@ struct ReciprocalPartial {
 };
 
 /// inv_out[i] = 1.0 / bids[i] for the whole block (the same IEEE division
-/// the scalar kernels perform, so downstream consumers of 1/b_i see the same
+/// the generic path performs, so downstream consumers of 1/b_i see the same
 /// bits), accumulating the block's partial inverse sum AND the partial
 /// execution weight W = sum (e_i * inv_i) * inv_i.  W is what makes the
 /// round engine single-reduction: with the PR closed form x_i = inv_i/S * R,

@@ -1,7 +1,5 @@
 #include "lbmv/core/archer_tardos.h"
 
-#include "lbmv/core/batch.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/integrate.h"
 
@@ -18,7 +16,11 @@ double archer_tardos_tail_integral(double bid, double inverse_bid_sum_rest,
 }
 
 ArcherTardosMechanism::ArcherTardosMechanism()
-    : Mechanism(default_allocator()) {}
+    : ArcherTardosMechanism(default_allocator()) {}
+
+ArcherTardosMechanism::ArcherTardosMechanism(
+    std::shared_ptr<const alloc::Allocator> allocator)
+    : Mechanism(std::move(allocator)) {}
 
 double ArcherTardosMechanism::tail_integral_numeric(
     double bid, double inverse_bid_sum_rest, double arrival_rate,
@@ -38,18 +40,14 @@ void ArcherTardosMechanism::fill_payments(
     std::span<const double> bids, std::span<const double> /*executions*/,
     const model::Allocation& x, double /*actual_latency*/,
     double /*reported_latency*/, std::vector<AgentOutcome>& outcomes,
-    RoundWorkspace& ws) const {
+    RoundWorkspace& /*ws*/) const {
   LBMV_REQUIRE(dynamic_cast<const model::LinearFamily*>(&family) != nullptr,
                "the Archer–Tardos closed form is derived for the linear "
                "family under PR allocation");
-  // s_i = sum_{j != i} 1/b_j = S - 1/b_i: one pass for S (or none, when the
-  // PR allocation pass already published it) replaces the former O(n^2)
-  // per-agent re-sum.
-  double inverse_bid_sum = ws.inverse_sum;
-  if (!ws.pr_closed_form) {
-    inverse_bid_sum = 0.0;
-    for (double b : bids) inverse_bid_sum += 1.0 / b;
-  }
+  // s_i = sum_{j != i} 1/b_j = S - 1/b_i: one pass for S replaces an
+  // O(n^2) per-agent re-sum.
+  double inverse_bid_sum = 0.0;
+  for (double b : bids) inverse_bid_sum += 1.0 / b;
   const std::span<const double> rates = x.rates();
   for (std::size_t i = 0; i < bids.size(); ++i) {
     auto& agent = outcomes[i];
@@ -62,14 +60,6 @@ void ArcherTardosMechanism::fill_payments(
     agent.bonus = archer_tardos_tail_integral(bids[i], s, arrival_rate);
     agent.payment = agent.compensation + agent.bonus;
   }
-}
-
-std::unique_ptr<ProfileUtilityContext>
-ArcherTardosMechanism::make_profile_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base) const {
-  return make_linear_pr_profile_context(LinearPrRule::kArcherTardos, family,
-                                        allocator(), arrival_rate, base);
 }
 
 }  // namespace lbmv::core

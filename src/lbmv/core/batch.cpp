@@ -1,22 +1,8 @@
 #include "lbmv/core/batch.h"
 
-#include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
-
-FamilyKind classify_family(const model::LatencyFamily& family) {
-  if (dynamic_cast<const model::LinearFamily*>(&family) != nullptr) {
-    return FamilyKind::kLinear;
-  }
-  if (dynamic_cast<const model::MM1Family*>(&family) != nullptr) {
-    return FamilyKind::kMm1;
-  }
-  if (dynamic_cast<const model::WorkloadFamily*>(&family) != nullptr) {
-    return FamilyKind::kWorkload;
-  }
-  return FamilyKind::kGeneric;
-}
 
 void ProfileBatch::push_back(const model::BidProfile& profile) {
   push_back(profile.bids, profile.executions);

@@ -5,7 +5,7 @@
 ///
 /// Every experiment in the paper — Table 1/2 rounds, the Fig 3–5 deviation
 /// sweeps, the frugality grids — reduces to evaluating the mechanism over
-/// many bid profiles.  The scalar path pays per-round plumbing (fresh
+/// many bid profiles.  A naive round pays per-round plumbing (fresh
 /// vectors, one heap-allocated LatencyFunction per agent per round) that
 /// dwarfs the O(n) closed-form math.  This header provides the batched,
 /// allocation-free counterpart (DESIGN.md §11):
@@ -36,21 +36,6 @@ class ThreadPool;
 }  // namespace lbmv::util
 
 namespace lbmv::core {
-
-/// The latency families the round engine knows fused kernels for.  The
-/// generic virtual-dispatch arena stays the semantic reference; a fused
-/// path may only engage when the family AND the allocator match (e.g. kMm1
-/// with an exact MM1Allocator), so classification alone never changes
-/// behaviour.
-enum class FamilyKind {
-  kLinear,    ///< l(x) = theta x        — PR closed form (DESIGN.md §11/§12)
-  kMm1,       ///< l(x) = 1/(mu - x)     — square-root closed form (§14)
-  kWorkload,  ///< l(x) = theta x(1+gx)  — damped-free monotone Newton (§14)
-  kGeneric,   ///< anything else: virtual-dispatch arena
-};
-
-/// Classify by dynamic type (mirroring the audit fast-path gates).
-[[nodiscard]] FamilyKind classify_family(const model::LatencyFamily& family);
 
 /// B bid/execution profiles over a fixed set of n agents, stored
 /// structure-of-arrays: profile b's bids occupy the contiguous slice
@@ -124,12 +109,9 @@ class ProfileBatch {
 /// first round at a given n, run_into on the fused linear fast path touches
 /// the heap zero times.
 ///
-/// The flag/sum trio at the top is written by Mechanism::run_into before it
-/// calls fill_payments, letting payment rules pick the fused closed form
-/// without re-deriving what the round already knows.  run_into never touches
-/// scratch_profile/scratch_outcome, so callers that sweep deviations may
-/// hold their working profile and outcome in the same workspace they pass
-/// back in.
+/// run_into never touches scratch_profile/scratch_outcome, so callers that
+/// sweep deviations may hold their working profile and outcome in the same
+/// workspace they pass back in.
 class RoundWorkspace {
  public:
   RoundWorkspace() = default;
@@ -141,11 +123,6 @@ class RoundWorkspace {
   /// One workspace per thread, created on first use.  Mechanism::run_batch
   /// workers use this so repeated batches stay allocation-free per thread.
   static RoundWorkspace& thread_local_instance();
-
-  // ---- round state published by Mechanism::run_into ----------------------
-  bool linear_fast = false;    ///< family is linear: e_i*x_i^2 everywhere
-  bool pr_closed_form = false; ///< linear_fast && PR allocator: S is valid
-  double inverse_sum = 0.0;    ///< S = sum_j 1/b_j when pr_closed_form
 
   // ---- scratch planes (sized by the engine, reused across rounds) --------
   std::vector<double> leave_one_out;  ///< L_{-i} per agent
@@ -161,10 +138,10 @@ class RoundWorkspace {
   std::vector<double> inv_execs;       ///< 1/e_i (M/M/1 verified rates)
   std::vector<double> family_scratch;  ///< rest-set / Newton scratch
 
-  /// Arena for generic (non-linear) families: the function objects are
-  /// rebuilt per round via LatencyFamily::make, but the owning planes
-  /// persist so the per-round vector churn of the scalar path disappears.
-  /// The linear fast path never touches these.
+  /// Arena for the generic path: the function objects are rebuilt per
+  /// round via LatencyFamily::make, but the owning planes persist so the
+  /// per-round vector churn disappears.  The exact engines never touch
+  /// these.
   std::vector<std::unique_ptr<model::LatencyFunction>> exec_fns;
   std::vector<std::unique_ptr<model::LatencyFunction>> bid_fns;
 

@@ -1,6 +1,7 @@
 #include "lbmv/core/delta_engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "lbmv/util/error.h"
 
@@ -16,7 +17,8 @@ DeltaRoundEngine::DeltaRoundEngine(
       committed_(initial) {
   LBMV_REQUIRE(family_ != nullptr, "delta engine requires a latency family");
   LBMV_REQUIRE(initial.size() >= 2, "mechanisms require at least two agents");
-  LBMV_REQUIRE(arrival_rate_ > 0.0, "arrival rate must be positive");
+  LBMV_REQUIRE(std::isfinite(arrival_rate_) && arrival_rate_ > 0.0,
+               "arrival rate must be positive and finite");
   initial.validate(initial.size());
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,10 +15,10 @@ namespace lbmv::core {
 // ---------------------------------------------------------------------------
 // M/M/1
 
-Mm1PrProfileContext::Mm1PrProfileContext(LinearPrRule rule, double arrival_rate,
+Mm1PrProfileContext::Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                                          model::BidProfile base)
     : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
-  LBMV_REQUIRE(rule != LinearPrRule::kArcherTardos,
+  LBMV_REQUIRE(rule != PaymentRule::kArcherTardos,
                "the Archer-Tardos payment tail is linear-only");
   const std::size_t n = profile_.size();
   LBMV_REQUIRE(n >= 2, "mechanism rounds need at least two agents");
@@ -81,7 +80,7 @@ void Mm1PrProfileContext::rebuild() {
 
   // Leave-one-out plane: deviation-independent, so precomputed eagerly —
   // utility() stays mutation-free and safe to call concurrently.
-  if (rule_ != LinearPrRule::kNoPayment) {
+  if (rule_ != PaymentRule::kNoPayment) {
     const alloc::MM1Allocator allocator;
     const model::MM1Family family;
     allocator.leave_one_out_into(family, profile_.bids, arrival_rate_, loo_);
@@ -95,7 +94,7 @@ Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
   st.rest_mu = sum_mu_ - mus_[agent];
   st.rest_a = sum_a_ - a_[agent];
   st.rest_min_a = agent == argmin_a_ ? second_a_ : min_a_;
-  st.loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  st.loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   st.rest_consistent =
       inconsistent_count_ == 0 ||
       (inconsistent_count_ == 1 && inconsistent_[agent] != 0);
@@ -104,8 +103,7 @@ Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
 
 double Mm1PrProfileContext::utility(std::size_t agent, double bid,
                                     double execution) const {
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  require_valid_inputs(bid, execution);
   const SweepState st = sweep_state(agent);
   const double mu_dev = 1.0 / bid;
   const double a_dev = std::sqrt(mu_dev);
@@ -130,22 +128,22 @@ double Mm1PrProfileContext::utility(std::size_t agent, double bid,
         const double nm1 = static_cast<double>(profile_.size() - 1);
         const double actual = (st.rest_a / c - nm1) + cost_e;
         switch (rule_) {
-          case LinearPrRule::kCompBonusExecution:
+          case PaymentRule::kCompBonusExecution:
             // C = cost at execution basis cancels the valuation.
             return st.loo - actual;
-          case LinearPrRule::kCompBonusBid: {
+          case PaymentRule::kCompBonusBid: {
             const double comp = a_dev / c - 1.0;
             return comp + (st.loo - actual) - cost_e;
           }
-          case LinearPrRule::kVcg: {
+          case PaymentRule::kVcg: {
             const double comp = a_dev / c - 1.0;
             const double reported =
                 sum_a / c - static_cast<double>(profile_.size());
             return (st.loo - (reported - comp)) - cost_e;
           }
-          case LinearPrRule::kNoPayment:
+          case PaymentRule::kNoPayment:
             return -cost_e;
-          case LinearPrRule::kArcherTardos:
+          case PaymentRule::kArcherTardos:
             break;  // rejected at construction
         }
       }
@@ -175,22 +173,22 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
     if (j == agent) cost_e = cost;
     actual += cost;
   }
-  const double loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   const double x = rates[agent];
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return loo - actual;
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusBid: {
       const double comp = x / (mus[agent] - x);
       return comp + (loo - actual) - cost_e;
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const double comp = x / (mus[agent] - x);
       return (loo - (solve.optimal_latency - comp)) - cost_e;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -cost_e;
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;
   }
   LBMV_ASSERT(false, "unreachable payment rule");
@@ -200,8 +198,7 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
 void Mm1PrProfileContext::commit(std::size_t agent, double bid,
                                  double execution) {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  require_valid_inputs(bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
   // O(n) rebuild: the min/arg-min pair and the leave-one-out plane cannot
@@ -214,8 +211,7 @@ void Mm1PrProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
   for (const BidDelta& d : deltas) {
     LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0, "bids must be positive");
-    LBMV_REQUIRE(d.execution > 0.0, "execution values must be positive");
+    require_valid_inputs(d.bid, d.execution);
     profile_.bids[d.agent] = d.bid;
     profile_.executions[d.agent] = d.execution;
   }
@@ -237,23 +233,23 @@ void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
     const double cost_e = x / (mue_[j] - x);  // 0 for dropped computers
     ag.valuation = -cost_e;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         ag.compensation = cost_e;
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         ag.compensation = x / (mus_[j] - x);
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         ag.compensation = x / (mus_[j] - x);
         ag.bonus = loo_[j] - reported_;
         ag.payment = loo_[j] - (reported_ - ag.compensation);
         break;
-      case LinearPrRule::kNoPayment:
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kNoPayment:
+      case PaymentRule::kArcherTardos:
         ag.compensation = 0.0;
         ag.bonus = 0.0;
         ag.payment = 0.0;
@@ -266,14 +262,14 @@ void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
 // ---------------------------------------------------------------------------
 // Workload-dependent rates
 
-WorkloadProfileContext::WorkloadProfileContext(LinearPrRule rule, double gamma,
+WorkloadProfileContext::WorkloadProfileContext(PaymentRule rule, double gamma,
                                                double arrival_rate,
                                                model::BidProfile base)
     : rule_(rule),
       gamma_(gamma),
       arrival_rate_(arrival_rate),
       profile_(std::move(base)) {
-  LBMV_REQUIRE(rule != LinearPrRule::kArcherTardos,
+  LBMV_REQUIRE(rule != PaymentRule::kArcherTardos,
                "the Archer-Tardos payment tail is linear-only");
   const std::size_t n = profile_.size();
   LBMV_REQUIRE(n >= 2, "mechanism rounds need at least two agents");
@@ -297,7 +293,7 @@ void WorkloadProfileContext::rebuild() {
     const double x = rates_[j];
     actual_ += x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
   }
-  if (rule_ != LinearPrRule::kNoPayment) {
+  if (rule_ != PaymentRule::kNoPayment) {
     loo_.resize(n);
     std::vector<double> scratch;
     alloc::workload_leave_one_out_into(profile_.bids, gamma_, arrival_rate_,
@@ -308,8 +304,7 @@ void WorkloadProfileContext::rebuild() {
 double WorkloadProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  require_valid_inputs(bid, execution);
   const std::size_t n = profile_.size();
   // The conservation constraint couples every rate through the multiplier,
   // so a deviation re-runs the Newton solve against local planes (queries
@@ -328,21 +323,21 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   }
   const double xa = x[agent];
   const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
-  const double loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return loo - actual;
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusBid: {
       const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
       return comp + (loo - actual) - cost_e;
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
       return (loo - (solve.optimal_latency - comp)) - cost_e;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -cost_e;
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;
   }
   LBMV_ASSERT(false, "unreachable payment rule");
@@ -352,8 +347,7 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
 void WorkloadProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  require_valid_inputs(bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
   rebuild();
@@ -363,8 +357,7 @@ void WorkloadProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
   for (const BidDelta& d : deltas) {
     LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0, "bids must be positive");
-    LBMV_REQUIRE(d.execution > 0.0, "execution values must be positive");
+    require_valid_inputs(d.bid, d.execution);
     profile_.bids[d.agent] = d.bid;
     profile_.executions[d.agent] = d.execution;
   }
@@ -387,23 +380,23 @@ void WorkloadProfileContext::outcome_into(MechanismOutcome& out) const {
         x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
     ag.valuation = -cost_e;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         ag.compensation = cost_e;
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
         ag.bonus = loo_[j] - reported_;
         ag.payment = loo_[j] - (reported_ - ag.compensation);
         break;
-      case LinearPrRule::kNoPayment:
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kNoPayment:
+      case PaymentRule::kArcherTardos:
         ag.compensation = 0.0;
         ag.bonus = 0.0;
         ag.payment = 0.0;
@@ -411,26 +404,6 @@ void WorkloadProfileContext::outcome_into(MechanismOutcome& out) const {
     }
     ag.utility = ag.payment + ag.valuation;
   }
-}
-
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<ProfileUtilityContext> make_family_profile_context(
-    LinearPrRule rule, const model::LatencyFamily& family,
-    const alloc::Allocator& allocator, double arrival_rate,
-    const model::BidProfile& base) {
-  if (rule == LinearPrRule::kArcherTardos) return nullptr;
-  if (dynamic_cast<const model::MM1Family*>(&family) != nullptr &&
-      dynamic_cast<const alloc::MM1Allocator*>(&allocator) != nullptr) {
-    return std::make_unique<Mm1PrProfileContext>(rule, arrival_rate, base);
-  }
-  if (const auto* workload = dynamic_cast<const model::WorkloadFamily*>(&family);
-      workload != nullptr &&
-      dynamic_cast<const alloc::WorkloadAllocator*>(&allocator) != nullptr) {
-    return std::make_unique<WorkloadProfileContext>(rule, workload->gamma(),
-                                                    arrival_rate, base);
-  }
-  return nullptr;
 }
 
 }  // namespace lbmv::core

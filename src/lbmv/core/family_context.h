@@ -19,20 +19,18 @@
 /// issue concurrently); the leave-one-out optima — deviation-independent —
 /// are precomputed once per commit by alloc::workload_leave_one_out_into.
 ///
-/// Mm1PrProfileContext is exported (not hidden behind the factory) so the
-/// lane-parallel deviation-grid kernels (grid_kernels.h) can read the
-/// cached rest-of-profile sums via sweep_state() and evaluate four
-/// candidate bids per instruction in utility()'s exact IEEE operand order;
-/// utility() itself stays the scalar oracle the differential suite holds
-/// them to.
+/// Mechanism::make_profile_context builds them when classify_round picks
+/// the M/M/1 or workload engine (never for Archer–Tardos, whose tail is
+/// linear-only).  Mm1PrProfileContext is exported so the lane-parallel
+/// deviation-grid kernels (grid_kernels.h) can read the cached
+/// rest-of-profile sums via sweep_state() and evaluate four candidate bids
+/// per instruction in utility()'s exact IEEE operand order; utility()
+/// itself stays the scalar oracle the differential suite holds them to.
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "lbmv/alloc/allocator.h"
 #include "lbmv/core/mechanism.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 
@@ -42,7 +40,7 @@ namespace lbmv::core {
 /// mean service times theta = 1/mu, matching MM1Family / MM1Allocator.
 class Mm1PrProfileContext final : public ProfileUtilityContext {
  public:
-  Mm1PrProfileContext(LinearPrRule rule, double arrival_rate,
+  Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                       model::BidProfile base);
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
@@ -59,7 +57,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
     return profile_;
   }
 
-  [[nodiscard]] LinearPrRule rule() const { return rule_; }
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
   [[nodiscard]] std::size_t size() const { return profile_.size(); }
 
@@ -85,7 +83,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
                                     double execution) const;
   void rebuild();
 
-  LinearPrRule rule_;
+  PaymentRule rule_;
   double arrival_rate_;
   model::BidProfile profile_;
   std::vector<double> mus_;   ///< mu_j = 1/b_j
@@ -109,7 +107,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
 /// Newton (alloc/workload_allocator.h).  O(n * newton_iters) per query.
 class WorkloadProfileContext final : public ProfileUtilityContext {
  public:
-  WorkloadProfileContext(LinearPrRule rule, double gamma, double arrival_rate,
+  WorkloadProfileContext(PaymentRule rule, double gamma, double arrival_rate,
                          model::BidProfile base);
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
@@ -125,14 +123,14 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
     return profile_;
   }
 
-  [[nodiscard]] LinearPrRule rule() const { return rule_; }
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double gamma() const { return gamma_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
 
  private:
   void rebuild();
 
-  LinearPrRule rule_;
+  PaymentRule rule_;
   double gamma_;
   double arrival_rate_;
   model::BidProfile profile_;
@@ -142,17 +140,5 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
   double actual_ = 0.0;
   double reported_ = 0.0;
 };
-
-/// Build the family-specific closed-form context, or nullptr unless
-/// (family, allocator) is one of the exact nonlinear pairs — MM1Family
-/// with MM1Allocator, or WorkloadFamily with WorkloadAllocator — and the
-/// rule has a family-generic form (kArcherTardos is linear-only).  \p base
-/// is copied.  Mechanisms chain this after make_linear_pr_profile_context.
-[[nodiscard]] std::unique_ptr<ProfileUtilityContext>
-make_family_profile_context(LinearPrRule rule,
-                            const model::LatencyFamily& family,
-                            const alloc::Allocator& allocator,
-                            double arrival_rate,
-                            const model::BidProfile& base);
 
 }  // namespace lbmv::core

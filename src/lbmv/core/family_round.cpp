@@ -43,7 +43,7 @@ static_assert(offsetof(AgentOutcome, allocation) == 0 &&
 ///
 /// The caller has already proven every rest set all-active and every c_i
 /// safely positive, so no masks are needed here.
-template <VectorRule kRule>
+template <PaymentRule kRule>
 void publish_mm1_block(std::size_t n, const double* mu, const double* a,
                        const double* mue, const double* x, double sum_mu,
                        double sum_a, double arrival_rate, double actual_total,
@@ -63,22 +63,22 @@ void publish_mm1_block(std::size_t n, const double* mu, const double* a,
     DVec comp = v::zero();
     DVec bonus = v::zero();
     DVec pay = v::zero();
-    if constexpr (kRule != VectorRule::kNoPayment) {
+    if constexpr (kRule != PaymentRule::kNoPayment) {
       const DVec vmu = v::load(&mu[i]);
       const DVec va = v::load(&a[i]);
       const DVec rest_a = v::sub(vsa, va);
       const DVec ci = v::div(v::sub(v::sub(vsmu, vmu), vr), rest_a);
       const DVec loo = v::sub(v::div(rest_a, ci), vnm1);
-      if constexpr (kRule == VectorRule::kCompBonusExecution) {
+      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
         comp = costa;
         bonus = v::sub(loo, vact);
         pay = v::add(comp, bonus);
-      } else if constexpr (kRule == VectorRule::kCompBonusBid) {
+      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
         comp = v::mul(vx, v::div(vone, v::sub(vmu, vx)));
         bonus = v::sub(loo, vact);
         pay = v::add(comp, bonus);
       } else {
-        static_assert(kRule == VectorRule::kVcg, "unsupported M/M/1 rule");
+        static_assert(kRule == PaymentRule::kVcg, "unsupported M/M/1 rule");
         comp = v::mul(vx, v::div(vone, v::sub(vmu, vx)));
         bonus = v::sub(loo, vrep);
         pay = v::sub(loo, v::sub(vrep, comp));
@@ -94,7 +94,7 @@ void publish_mm1_block(std::size_t n, const double* mu, const double* a,
     const double costa = xi * (1.0 / (mue[i] - xi));
     AgentOutcome& o = agents[i];
     o.allocation = xi;
-    if constexpr (kRule == VectorRule::kNoPayment) {
+    if constexpr (kRule == PaymentRule::kNoPayment) {
       o.compensation = 0.0;
       o.bonus = 0.0;
       o.payment = 0.0;
@@ -102,11 +102,11 @@ void publish_mm1_block(std::size_t n, const double* mu, const double* a,
       const double rest_a = sum_a - a[i];
       const double ci = ((sum_mu - mu[i]) - arrival_rate) / rest_a;
       const double loo = rest_a / ci - static_cast<double>(n - 1);
-      if constexpr (kRule == VectorRule::kCompBonusExecution) {
+      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
         o.compensation = costa;
         o.bonus = loo - actual_total;
         o.payment = o.compensation + o.bonus;
-      } else if constexpr (kRule == VectorRule::kCompBonusBid) {
+      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
         o.compensation = xi * (1.0 / (mu[i] - xi));
         o.bonus = loo - actual_total;
         o.payment = o.compensation + o.bonus;
@@ -125,7 +125,7 @@ void publish_mm1_block(std::size_t n, const double* mu, const double* a,
 /// terms x * ((theta x) (1 + gamma x)) in WorkloadLatency's own operand
 /// order, the leave-one-out plane precomputed by the warm-started Newton
 /// solves.  \p loo may be null for kNoPayment only.
-template <VectorRule kRule>
+template <PaymentRule kRule>
 void publish_workload_block(std::size_t n, const double* bids,
                             const double* execs, const double* x,
                             const double* loo, double gamma,
@@ -144,18 +144,18 @@ void publish_workload_block(std::size_t n, const double* bids,
     DVec comp = v::zero();
     DVec bonus = v::zero();
     DVec pay = v::zero();
-    if constexpr (kRule != VectorRule::kNoPayment) {
+    if constexpr (kRule != PaymentRule::kNoPayment) {
       const DVec vloo = v::load(&loo[i]);
-      if constexpr (kRule == VectorRule::kCompBonusExecution) {
+      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
         comp = costa;
         bonus = v::sub(vloo, vact);
         pay = v::add(comp, bonus);
-      } else if constexpr (kRule == VectorRule::kCompBonusBid) {
+      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
         comp = v::mul(vx, v::mul(v::mul(v::load(&bids[i]), vx), grow));
         bonus = v::sub(vloo, vact);
         pay = v::add(comp, bonus);
       } else {
-        static_assert(kRule == VectorRule::kVcg, "unsupported workload rule");
+        static_assert(kRule == PaymentRule::kVcg, "unsupported workload rule");
         comp = v::mul(vx, v::mul(v::mul(v::load(&bids[i]), vx), grow));
         bonus = v::sub(vloo, vrep);
         pay = v::sub(vloo, v::sub(vrep, comp));
@@ -172,16 +172,16 @@ void publish_workload_block(std::size_t n, const double* bids,
     const double costa = xi * ((execs[i] * xi) * grow);
     AgentOutcome& o = agents[i];
     o.allocation = xi;
-    if constexpr (kRule == VectorRule::kNoPayment) {
+    if constexpr (kRule == PaymentRule::kNoPayment) {
       o.compensation = 0.0;
       o.bonus = 0.0;
       o.payment = 0.0;
     } else {
-      if constexpr (kRule == VectorRule::kCompBonusExecution) {
+      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
         o.compensation = costa;
         o.bonus = loo[i] - actual_total;
         o.payment = o.compensation + o.bonus;
-      } else if constexpr (kRule == VectorRule::kCompBonusBid) {
+      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
         o.compensation = xi * ((bids[i] * xi) * grow);
         o.bonus = loo[i] - actual_total;
         o.payment = o.compensation + o.bonus;
@@ -198,12 +198,12 @@ void publish_workload_block(std::size_t n, const double* bids,
 
 }  // namespace
 
-bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
+bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
                         std::span<const double> bids,
                         std::span<const double> executions,
                         MechanismOutcome& out, RoundWorkspace& ws) {
   LBMV_ASSERT(
-      rule != VectorRule::kNone && rule != VectorRule::kArcherTardos,
+      rule != PaymentRule::kArcherTardos,
       "the fused M/M/1 engine serves leave-one-out rules and no-payment");
   const std::size_t n = bids.size();
   ws.inv_bids.resize(n);
@@ -279,13 +279,9 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
     // Re-run the scalar validation loop so the diagnostic names the first
     // offender in the order the generic path would.
     for (std::size_t j = 0; j < n; ++j) {
-      LBMV_REQUIRE(std::isfinite(bids[j]) && bids[j] > 0.0,
-                   "bids must be positive and finite");
-      LBMV_REQUIRE(std::isfinite(executions[j]) && executions[j] > 0.0,
-                   "execution values must be positive and finite");
+      require_valid_inputs(bids[j], executions[j]);
     }
   }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
 
   // ---- detection: closed form valid, full + rest sets all-active ---------
   // Any failure returns false and the generic path owns the round: the
@@ -315,7 +311,7 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
   }
   const double c = (sum_mu - arrival_rate) / sum_a;
   if (!(min_a > c)) return false;
-  const bool needs_loo = rule != VectorRule::kNoPayment;
+  const bool needs_loo = rule != PaymentRule::kNoPayment;
   if (needs_loo) {
     for (std::size_t j = 0; j < n; ++j) {
       const double rest_mu = sum_mu - mu[j];
@@ -402,23 +398,23 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
   out.agents.resize(n);
   AgentOutcome* const agents = out.agents.data();
   switch (rule) {
-    case VectorRule::kCompBonusExecution:
-      publish_mm1_block<VectorRule::kCompBonusExecution>(
+    case PaymentRule::kCompBonusExecution:
+      publish_mm1_block<PaymentRule::kCompBonusExecution>(
           n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
           reported_total, agents);
       break;
-    case VectorRule::kCompBonusBid:
-      publish_mm1_block<VectorRule::kCompBonusBid>(
+    case PaymentRule::kCompBonusBid:
+      publish_mm1_block<PaymentRule::kCompBonusBid>(
           n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
           reported_total, agents);
       break;
-    case VectorRule::kVcg:
-      publish_mm1_block<VectorRule::kVcg>(n, mu, a, mue, x, sum_mu, sum_a,
-                                          arrival_rate, actual_total,
-                                          reported_total, agents);
+    case PaymentRule::kVcg:
+      publish_mm1_block<PaymentRule::kVcg>(n, mu, a, mue, x, sum_mu, sum_a,
+                                           arrival_rate, actual_total,
+                                           reported_total, agents);
       break;
     default:
-      publish_mm1_block<VectorRule::kNoPayment>(
+      publish_mm1_block<PaymentRule::kNoPayment>(
           n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
           reported_total, agents);
       break;
@@ -430,22 +426,18 @@ bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
 }
 
 FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
-                                         VectorRule rule, double arrival_rate,
+                                         PaymentRule rule, double arrival_rate,
                                          std::span<const double> bids,
                                          std::span<const double> executions,
                                          MechanismOutcome& out,
                                          RoundWorkspace& ws) {
   LBMV_ASSERT(
-      rule != VectorRule::kNone && rule != VectorRule::kArcherTardos,
+      rule != PaymentRule::kArcherTardos,
       "the fused workload engine serves leave-one-out rules and no-payment");
   const std::size_t n = bids.size();
   for (std::size_t j = 0; j < n; ++j) {
-    LBMV_REQUIRE(std::isfinite(bids[j]) && bids[j] > 0.0,
-                 "bids must be positive and finite");
-    LBMV_REQUIRE(std::isfinite(executions[j]) && executions[j] > 0.0,
-                 "execution values must be positive and finite");
+    require_valid_inputs(bids[j], executions[j]);
   }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   const double gamma = family.gamma();
 
   FamilyRoundStats stats;
@@ -492,7 +484,7 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
   // Leave-one-out plane: the family's single O(n d) Taylor-model solver,
   // exact Newton only for the agents its error bound refuses.
   const double* loo = nullptr;
-  if (rule != VectorRule::kNoPayment) {
+  if (rule != PaymentRule::kNoPayment) {
     ws.leave_one_out.resize(n);
     const alloc::WorkloadLooStats loo_stats =
         alloc::workload_leave_one_out_into(bids, gamma, arrival_rate,
@@ -506,24 +498,24 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
   out.agents.resize(n);
   AgentOutcome* const agents = out.agents.data();
   switch (rule) {
-    case VectorRule::kCompBonusExecution:
-      publish_workload_block<VectorRule::kCompBonusExecution>(
+    case PaymentRule::kCompBonusExecution:
+      publish_workload_block<PaymentRule::kCompBonusExecution>(
           n, bids.data(), executions.data(), x, loo, gamma, actual_total,
           reported_total, agents);
       break;
-    case VectorRule::kCompBonusBid:
-      publish_workload_block<VectorRule::kCompBonusBid>(
+    case PaymentRule::kCompBonusBid:
+      publish_workload_block<PaymentRule::kCompBonusBid>(
           n, bids.data(), executions.data(), x, loo, gamma, actual_total,
           reported_total, agents);
       break;
-    case VectorRule::kVcg:
-      publish_workload_block<VectorRule::kVcg>(n, bids.data(),
-                                               executions.data(), x, loo,
-                                               gamma, actual_total,
-                                               reported_total, agents);
+    case PaymentRule::kVcg:
+      publish_workload_block<PaymentRule::kVcg>(n, bids.data(),
+                                                executions.data(), x, loo,
+                                                gamma, actual_total,
+                                                reported_total, agents);
       break;
     default:
-      publish_workload_block<VectorRule::kNoPayment>(
+      publish_workload_block<PaymentRule::kNoPayment>(
           n, bids.data(), executions.data(), x, loo, gamma, actual_total,
           reported_total, agents);
       break;

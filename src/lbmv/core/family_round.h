@@ -73,11 +73,12 @@ struct FamilyRoundStats {
 /// return false without touching \p out when the round needs the generic
 /// active-set machinery (some computer would be dropped, or a closed-form
 /// precondition fails and the generic path owns the canonical diagnostic).
-/// \p rule must be a leave-one-out rule or kNoPayment — never kNone or
-/// kArcherTardos (whose tail integral is linear-family-specific).
-/// Bids and executions are mean service times (MM1Family's convention);
-/// invalid inputs throw the scalar path's diagnostics.
-[[nodiscard]] bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
+/// \p rule must not be kArcherTardos (whose tail integral is
+/// linear-family-specific) and \p arrival_rate must already be checked
+/// positive and finite (run_into does).  Bids and executions are mean
+/// service times (MM1Family's convention); invalid inputs throw the generic
+/// path's diagnostics.
+[[nodiscard]] bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
                                       std::span<const double> bids,
                                       std::span<const double> executions,
                                       MechanismOutcome& out,
@@ -85,10 +86,10 @@ struct FamilyRoundStats {
 
 /// Run one fused workload-family round end to end.  Always succeeds on
 /// valid input (the KKT solution is interior at every R > 0); throws the
-/// scalar path's diagnostics otherwise.  Same rule domain as the M/M/1
+/// generic path's diagnostics otherwise.  Same preconditions as the M/M/1
 /// engine.
 FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
-                                         VectorRule rule, double arrival_rate,
+                                         PaymentRule rule, double arrival_rate,
                                          std::span<const double> bids,
                                          std::span<const double> executions,
                                          MechanismOutcome& out,

@@ -7,8 +7,10 @@
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/family_context.h"
 #include "lbmv/core/family_round.h"
 #include "lbmv/core/invariants.h"
+#include "lbmv/core/profile_context.h"
 #include "lbmv/core/simd_round.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
@@ -51,6 +53,23 @@ void observe_round(obs::MechProbes& probes, std::span<const double> bids,
 
 }  // namespace
 
+EngineKind classify_round(const model::LatencyFamily& family,
+                          const alloc::Allocator& allocator) {
+  if (dynamic_cast<const model::LinearFamily*>(&family) != nullptr &&
+      dynamic_cast<const alloc::PRAllocator*>(&allocator) != nullptr) {
+    return EngineKind::kLinearPr;
+  }
+  if (dynamic_cast<const model::MM1Family*>(&family) != nullptr &&
+      dynamic_cast<const alloc::MM1Allocator*>(&allocator) != nullptr) {
+    return EngineKind::kMm1;
+  }
+  if (dynamic_cast<const model::WorkloadFamily*>(&family) != nullptr &&
+      dynamic_cast<const alloc::WorkloadAllocator*>(&allocator) != nullptr) {
+    return EngineKind::kWorkload;
+  }
+  return EngineKind::kGeneric;
+}
+
 Mechanism::Mechanism(std::shared_ptr<const alloc::Allocator> allocator)
     : allocator_(std::move(allocator)) {
   LBMV_REQUIRE(allocator_ != nullptr, "mechanism requires an allocator");
@@ -71,172 +90,123 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   const std::size_t n = bids.size();
   LBMV_REQUIRE(n >= 2, "mechanisms require at least two agents");
   LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
+  LBMV_REQUIRE(std::isfinite(arrival_rate) && arrival_rate > 0.0,
+               "arrival rate must be positive and finite");
 
-  // Classify the round once; payment rules read the flags off the workspace
-  // instead of repeating the dynamic_casts per agent.
-  ws.linear_fast =
-      dynamic_cast<const model::LinearFamily*>(&family) != nullptr;
-  ws.pr_closed_form = false;
-  ws.inverse_sum = 0.0;
-
-  // The vectorized engine fuses the entire round — validation, PR solve,
-  // cost planes, payments — when the round is the paper's configuration
-  // (linear family + PR allocator), the mechanism advertises a vectorized
-  // payment rule, and the runtime backend selector says vectorized (the
-  // default iff LBMV_SIMD was compiled in).  It raises the same diagnostics
-  // as the scalar path on invalid input; results agree with the scalar
-  // kernels to the DESIGN.md §12 error bound.
-  const VectorRule rule = vector_rule();
-  if (ws.linear_fast && rule != VectorRule::kNone &&
-      kernel_backend() == KernelBackend::kVectorized &&
-      dynamic_cast<const alloc::PRAllocator*>(allocator_.get()) != nullptr) {
-    const SimdRoundStats stats = run_linear_pr_vectorized(
-        rule, arrival_rate, bids, executions, out, ws, options);
-    if (obs::enabled()) {
-      obs::MechProbes& probes = obs::MechProbes::get();
-      probes.linear_fast_rounds.inc();
-      probes.simd_rounds.inc();
-      if (stats.shards > 1) {
-        probes.sharded_rounds.inc();
-        probes.shard_count.record(static_cast<double>(stats.shards));
+  // One dispatch per round.  The exact engines fuse the whole round —
+  // validation, allocation, cost planes, payments — and raise the generic
+  // path's diagnostics on invalid input; their results agree with it to the
+  // DESIGN.md §12/§14 error bounds.  The Archer–Tardos tail is
+  // linear-family-specific, so on the nonlinear engines' pairings that rule
+  // takes the generic path (which raises its typed error).  The M/M/1
+  // engine declines rounds that need the active-set machinery (some
+  // computer dropped, or a closed-form precondition fails); the generic
+  // path then owns the round and its canonical diagnostics.
+  const EngineKind kind = classify_round(family, *allocator_);
+  const PaymentRule rule = payment_rule();
+  const bool exact = kind == EngineKind::kLinearPr ||
+                     (kind != EngineKind::kGeneric &&
+                      rule != PaymentRule::kArcherTardos);
+  bool fused = false;
+  SimdRoundStats linear_stats;
+  FamilyRoundStats family_stats;
+  switch (kind) {
+    case EngineKind::kLinearPr:
+      linear_stats = run_linear_pr_vectorized(rule, arrival_rate, bids,
+                                              executions, out, ws, options);
+      fused = true;
+      break;
+    case EngineKind::kMm1:
+      fused = exact && run_mm1_vectorized(rule, arrival_rate, bids,
+                                          executions, out, ws);
+      break;
+    case EngineKind::kWorkload:
+      if (exact) {
+        family_stats = run_workload_vectorized(
+            static_cast<const model::WorkloadFamily&>(family), rule,
+            arrival_rate, bids, executions, out, ws);
+        fused = true;
       }
-      // The vectorized engine only engages on PR-on-linear rounds, so the
-      // full monitor set (feasibility, decomposition, participation, KKT)
-      // is armed.
-      observe_round(probes, bids, executions, arrival_rate, out,
-                    3 * static_cast<std::uint64_t>(n),
-                    RoundInvariantOptions{
-                        /*linear_pr=*/true,
-                        /*participation_guaranteed=*/
-                        guarantees_voluntary_participation()});
-    }
-    return;
+      break;
+    case EngineKind::kGeneric:
+      break;
   }
+  if (!fused) run_generic_into(family, arrival_rate, bids, executions, out, ws);
+  if (!obs::enabled()) return;
 
-  // Nonlinear fused dispatch (family_round.h, DESIGN.md §14): the M/M/1 and
-  // workload families get their own fused engines when paired with their
-  // exact allocators.  The Archer–Tardos tail integral is linear-family-
-  // specific, so that rule stays on the generic path.  The M/M/1 engine
-  // declines rounds that need the active-set machinery (some computer
-  // dropped, or a closed-form precondition fails) by returning false; the
-  // generic path below then owns the round and its canonical diagnostics.
-  if (!ws.linear_fast && rule != VectorRule::kNone &&
-      rule != VectorRule::kArcherTardos &&
-      kernel_backend() == KernelBackend::kVectorized) {
-    const FamilyKind kind = classify_family(family);
-    if (kind == FamilyKind::kMm1 &&
-        dynamic_cast<const alloc::MM1Allocator*>(allocator_.get()) !=
-            nullptr) {
-      if (run_mm1_vectorized(rule, arrival_rate, bids, executions, out, ws)) {
-        if (obs::enabled()) {
-          obs::MechProbes& probes = obs::MechProbes::get();
-          probes.nonlinear_rounds.inc();
-          RoundInvariantOptions opts;
-          opts.participation_guaranteed =
-              guarantees_voluntary_participation();
-          opts.mm1_exact = true;
-          // The generic path would have built 2n latency functions for the
-          // totals plus n more in the payment rule's compensation terms.
-          observe_round(probes, bids, executions, arrival_rate, out,
-                        3 * static_cast<std::uint64_t>(n), opts);
-        }
-        return;
-      }
-    } else if (kind == FamilyKind::kWorkload &&
-               dynamic_cast<const alloc::WorkloadAllocator*>(
-                   allocator_.get()) != nullptr) {
-      const auto& workload =
-          static_cast<const model::WorkloadFamily&>(family);
-      const FamilyRoundStats stats = run_workload_vectorized(
-          workload, rule, arrival_rate, bids, executions, out, ws);
-      if (obs::enabled()) {
-        obs::MechProbes& probes = obs::MechProbes::get();
-        probes.nonlinear_rounds.inc();
-        probes.newton_iters.inc(stats.newton_iters);
-        probes.loo_fallbacks.inc(stats.loo_fallbacks);
-        RoundInvariantOptions opts;
-        opts.participation_guaranteed = guarantees_voluntary_participation();
-        opts.workload_exact = true;
-        opts.workload_gamma = workload.gamma();
-        observe_round(probes, bids, executions, arrival_rate, out,
-                      3 * static_cast<std::uint64_t>(n), opts);
-      }
-      return;
+  obs::MechProbes& probes = obs::MechProbes::get();
+  if (fused && kind == EngineKind::kLinearPr) {
+    probes.linear_fast_rounds.inc();
+    probes.simd_rounds.inc();
+    if (linear_stats.shards > 1) {
+      probes.sharded_rounds.inc();
+      probes.shard_count.record(static_cast<double>(linear_stats.shards));
     }
+  } else if (fused) {
+    probes.nonlinear_rounds.inc();
+    probes.newton_iters.inc(family_stats.newton_iters);
+    probes.loo_fallbacks.inc(family_stats.loo_fallbacks);
   }
+  // Every monitor the pairing's exact optimum supports is armed, whichever
+  // path ran the round.
+  RoundInvariantOptions opts;
+  opts.linear_pr = kind == EngineKind::kLinearPr;
+  opts.participation_guaranteed = guarantees_voluntary_participation();
+  opts.mm1_exact = exact && kind == EngineKind::kMm1;
+  opts.workload_exact = exact && kind == EngineKind::kWorkload;
+  if (opts.workload_exact) {
+    opts.workload_gamma =
+        static_cast<const model::WorkloadFamily&>(family).gamma();
+  }
+  // The generic path builds 2n latency functions for the totals plus n more
+  // in the payment rule's compensation terms; the engines build none.
+  observe_round(probes, bids, executions, arrival_rate, out,
+                fused ? 3 * static_cast<std::uint64_t>(n) : 0, opts);
+}
 
+void Mechanism::run_generic_into(const model::LatencyFamily& family,
+                                 double arrival_rate,
+                                 std::span<const double> bids,
+                                 std::span<const double> executions,
+                                 MechanismOutcome& out,
+                                 RoundWorkspace& ws) const {
+  const std::size_t n = bids.size();
   for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(std::isfinite(bids[i]) && bids[i] > 0.0,
-                 "bids must be positive and finite");
-    LBMV_REQUIRE(std::isfinite(executions[i]) && executions[i] > 0.0,
-                 "execution values must be positive and finite");
+    require_valid_inputs(bids[i], executions[i]);
   }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
 
   // Recycle the previous outcome's rate plane instead of allocating a fresh
   // vector: after the first round at this n, resize() is a no-op.
   std::vector<double> rates = std::move(out.allocation).release();
   rates.resize(n);
-  if (ws.linear_fast &&
-      dynamic_cast<const alloc::PRAllocator*>(allocator_.get()) != nullptr) {
-    // Fused PR solve: allocation, S, and L* from one pass over the bids.
-    const alloc::PrSolve solve =
-        alloc::pr_allocate_into(bids, arrival_rate, rates);
-    ws.pr_closed_form = true;
-    ws.inverse_sum = solve.inverse_sum;
-  } else {
-    allocator_->allocate_into(family, bids, arrival_rate, rates);
-  }
+  allocator_->allocate_into(family, bids, arrival_rate, rates);
   out.allocation = model::Allocation(std::move(rates));
   const std::span<const double> x = out.allocation.rates();
 
+  // The function objects themselves must come from family.make
+  // (unavoidable heap traffic), but the owning planes live in the workspace
+  // so the per-round vector churn is gone.  The arena keeps its high-water
+  // size — shrinking to exactly n would destroy the tail's slots only to
+  // default-construct them again on the next larger round — and the round
+  // uses the first n entries.
+  if (ws.exec_fns.size() < n) {
+    ws.exec_fns.resize(n);
+    ws.bid_fns.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ws.exec_fns[i] = family.make(executions[i]);
+    ws.bid_fns[i] = family.make(bids[i]);
+  }
+  out.actual_latency =
+      model::total_latency(out.allocation, std::span(ws.exec_fns).first(n));
+  out.reported_latency =
+      model::total_latency(out.allocation, std::span(ws.bid_fns).first(n));
   out.agents.resize(n);
-  if (ws.linear_fast) {
-    // Fused linear fast path: every latency quantity is a closed form in
-    // t * x_i^2, so the scalar path's 2n LatencyFamily::make heap
-    // allocations (plus their virtual cost() dispatches) disappear.  Each
-    // cost term is (t*x)*x — bit-identical to the generic path's
-    // x * latency(x) = x*(t*x) — and both totals accumulate in index order,
-    // so run_into agrees with the historical run() to the last bit.
-    double actual = 0.0;
-    double reported = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x[i];
-      const double cost = executions[i] * xi * xi;
-      actual += cost;
-      reported += bids[i] * xi * xi;
-      auto& agent = out.agents[i];
-      agent.allocation = xi;
-      agent.valuation = -cost;
-    }
-    out.actual_latency = actual;
-    out.reported_latency = reported;
-  } else {
-    // Generic families: the function objects themselves must come from
-    // family.make (unavoidable heap traffic), but the owning planes live in
-    // the workspace so the per-round vector churn is gone.  The arena keeps
-    // its high-water size — shrinking to exactly n would destroy the tail's
-    // slots only to default-construct them again on the next larger round —
-    // and the round uses the first n entries.
-    if (ws.exec_fns.size() < n) {
-      ws.exec_fns.resize(n);
-      ws.bid_fns.resize(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ws.exec_fns[i] = family.make(executions[i]);
-      ws.bid_fns[i] = family.make(bids[i]);
-    }
-    out.actual_latency = model::total_latency(
-        out.allocation, std::span(ws.exec_fns).first(n));
-    out.reported_latency = model::total_latency(
-        out.allocation, std::span(ws.bid_fns).first(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& agent = out.agents[i];
-      agent.allocation = x[i];
-      const double cost =
-          (x[i] == 0.0) ? 0.0 : ws.exec_fns[i]->cost(x[i]);
-      agent.valuation = -cost;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& agent = out.agents[i];
+    agent.allocation = x[i];
+    const double cost = (x[i] == 0.0) ? 0.0 : ws.exec_fns[i]->cost(x[i]);
+    agent.valuation = -cost;
   }
 
   fill_payments(family, arrival_rate, bids, executions, out.allocation,
@@ -244,35 +214,6 @@ void Mechanism::run_into(const model::LatencyFamily& family,
 
   for (auto& agent : out.agents) {
     agent.utility = agent.payment + agent.valuation;
-  }
-  if (obs::enabled()) {
-    obs::MechProbes& probes = obs::MechProbes::get();
-    if (ws.linear_fast) probes.linear_fast_rounds.inc();
-    RoundInvariantOptions opts;
-    opts.linear_pr = ws.linear_fast && ws.pr_closed_form;
-    opts.participation_guaranteed = guarantees_voluntary_participation();
-    // Scalar-backend (or fused-declined) rounds on the exact nonlinear
-    // allocators still arm the family-specific monitors: the allocation is
-    // exactly optimal there too, only the engine differs.
-    if (!ws.linear_fast && rule != VectorRule::kNone &&
-        rule != VectorRule::kArcherTardos) {
-      const FamilyKind kind = classify_family(family);
-      opts.mm1_exact = kind == FamilyKind::kMm1 &&
-                       dynamic_cast<const alloc::MM1Allocator*>(
-                           allocator_.get()) != nullptr;
-      if (kind == FamilyKind::kWorkload &&
-          dynamic_cast<const alloc::WorkloadAllocator*>(allocator_.get()) !=
-              nullptr) {
-        opts.workload_exact = true;
-        opts.workload_gamma =
-            static_cast<const model::WorkloadFamily&>(family).gamma();
-      }
-    }
-    // The scalar path would have built 2n latency functions here plus n
-    // more in the payment rule's compensation terms.
-    observe_round(probes, bids, executions, arrival_rate, out,
-                  ws.linear_fast ? 3 * static_cast<std::uint64_t>(n) : 0,
-                  opts);
   }
 }
 
@@ -353,25 +294,6 @@ void Mechanism::run_batch(const model::SystemConfig& config,
             BatchRunOptions{});
 }
 
-void Mechanism::leave_one_out_into_ws(const model::LatencyFamily& family,
-                                      double arrival_rate,
-                                      std::span<const double> bids,
-                                      RoundWorkspace& ws) const {
-  if (ws.pr_closed_form) {
-    ws.leave_one_out.resize(bids.size());
-    if (obs::enabled()) {
-      obs::MechProbes& probes = obs::MechProbes::get();
-      probes.loo_batches.inc();
-      probes.loo_batch_size.record(static_cast<double>(bids.size()));
-    }
-    alloc::pr_leave_one_out_from_sum(ws.inverse_sum, bids, arrival_rate,
-                                     ws.leave_one_out);
-    return;
-  }
-  allocator_->leave_one_out_into(family, bids, arrival_rate,
-                                 ws.leave_one_out);
-}
-
 namespace {
 
 /// Pins one agent of a ProfileUtilityContext, turning the profile-wide
@@ -397,9 +319,6 @@ class ProfileAgentContext final : public AgentUtilityContext {
 std::unique_ptr<AgentUtilityContext> Mechanism::make_utility_context(
     const model::LatencyFamily& family, double arrival_rate,
     const model::BidProfile& base, std::size_t agent) const {
-  // Any mechanism with a profile-wide fast path gets the per-agent audit
-  // fast path for free; without one, audits fall back to run() per
-  // deviation.
   auto context = make_profile_context(family, arrival_rate, base);
   if (context == nullptr) return nullptr;
   LBMV_REQUIRE(agent < base.size(), "agent index out of range");
@@ -407,7 +326,24 @@ std::unique_ptr<AgentUtilityContext> Mechanism::make_utility_context(
 }
 
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
-    const model::LatencyFamily&, double, const model::BidProfile&) const {
+    const model::LatencyFamily& family, double arrival_rate,
+    const model::BidProfile& base) const {
+  const PaymentRule rule = payment_rule();
+  switch (classify_round(family, *allocator_)) {
+    case EngineKind::kLinearPr:
+      return std::make_unique<LinearPrProfileContext>(rule, arrival_rate,
+                                                      base);
+    case EngineKind::kMm1:
+      if (rule == PaymentRule::kArcherTardos) return nullptr;
+      return std::make_unique<Mm1PrProfileContext>(rule, arrival_rate, base);
+    case EngineKind::kWorkload:
+      if (rule == PaymentRule::kArcherTardos) return nullptr;
+      return std::make_unique<WorkloadProfileContext>(
+          rule, static_cast<const model::WorkloadFamily&>(family).gamma(),
+          arrival_rate, base);
+    case EngineKind::kGeneric:
+      break;
+  }
   return nullptr;  // no closed form; callers fall back to run() per deviation
 }
 

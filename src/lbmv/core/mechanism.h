@@ -15,6 +15,7 @@
 /// never read the agents' true types; everything they see is the bid profile
 /// and the verified execution values.
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,6 +26,7 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
+#include "lbmv/util/error.h"
 
 namespace lbmv::core {
 
@@ -34,19 +36,45 @@ struct BatchOutcomes;    // batch.h
 struct BatchRunOptions;  // batch.h
 struct RoundOptions;     // batch.h
 
-/// Payment rules the vectorized round engine (simd_round.h) implements.
-/// A mechanism advertises its rule via Mechanism::vector_rule(); kNone means
-/// "no vectorized form — always run the scalar kernels".  The engine only
-/// engages on rounds it can fuse end to end: linear family, PR allocator,
-/// and a rule from this list.
-enum class VectorRule {
-  kNone,
+/// The payment rule a mechanism applies, in the closed form every exact
+/// engine implements: the fused rounds (simd_round.h, family_round.h), the
+/// profile contexts (profile_context.h, family_context.h) and the grid
+/// kernels (grid_kernels.h).  Each mechanism names its rule through
+/// Mechanism::payment_rule().
+enum class PaymentRule {
   kCompBonusExecution,  ///< C_i = t~_i x_i^2, B_i = L_{-i} - L(x, t~)
   kCompBonusBid,        ///< C_i = b_i  x_i^2, B_i = L_{-i} - L(x, t~)
   kVcg,                 ///< Clarke pivot on the reported types
-  kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail
+  kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail (linear only)
   kNoPayment,           ///< P_i = 0
 };
+
+/// Which engine serves a round, by (family, allocator) pair.  The generic
+/// path is the semantic reference; an exact engine only engages on the
+/// pairing it was derived for, so classification alone never changes
+/// results beyond the engines' documented error bounds.
+enum class EngineKind {
+  kLinearPr,  ///< LinearFamily + PRAllocator (DESIGN.md §11/§12)
+  kMm1,       ///< MM1Family + MM1Allocator (§14)
+  kWorkload,  ///< WorkloadFamily + WorkloadAllocator (§14)
+  kGeneric,   ///< anything else: the virtual-dispatch arena
+};
+
+/// The one place that inspects a round's dynamic family and allocator
+/// types.  Wrapping an exact allocator in any other Allocator type (the
+/// tests' oracle seam) sends its rounds down the generic path.
+[[nodiscard]] EngineKind classify_round(const model::LatencyFamily& family,
+                                        const alloc::Allocator& allocator);
+
+/// Raise the round entries' typed PreconditionError unless \p bid and
+/// \p execution are positive and finite: the one input domain every round,
+/// profile-context query and commit accepts.
+inline void require_valid_inputs(double bid, double execution) {
+  LBMV_REQUIRE(std::isfinite(bid) && bid > 0.0,
+               "bids must be positive and finite");
+  LBMV_REQUIRE(std::isfinite(execution) && execution > 0.0,
+               "execution values must be positive and finite");
+}
 
 /// Economic outcome for a single agent in one mechanism round.
 struct AgentOutcome {
@@ -116,7 +144,8 @@ class ProfileUtilityContext {
   virtual ~ProfileUtilityContext() = default;
 
   /// Utility of \p agent when it deviates to (\p bid, \p execution), with
-  /// every other agent as committed.  Both values must be positive.
+  /// every other agent as committed.  Both values must be positive and
+  /// finite (require_valid_inputs).
   [[nodiscard]] virtual double utility(std::size_t agent, double bid,
                                        double execution) const = 0;
 
@@ -235,46 +264,41 @@ class Mechanism {
     return true;
   }
 
-  /// The payment rule the vectorized round engine should apply on eligible
-  /// rounds, or kNone (the default) to always run the scalar kernels.  A
-  /// mechanism that overrides this promises its fill_payments is exactly the
-  /// advertised closed form on linear-family/PR-allocator rounds; the
-  /// differential suite (tests/test_simd_kernels.cpp) holds it to that.
-  [[nodiscard]] virtual VectorRule vector_rule() const {
-    return VectorRule::kNone;
-  }
+  /// The payment rule this mechanism applies.  Its fill_payments must be
+  /// exactly that rule's closed form, which every exact engine then
+  /// reproduces; the differential suites hold them to it.
+  [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
 
   /// Build an O(1)-per-deviation utility evaluator for audits of \p agent
   /// against \p base, or nullptr when no closed form applies (callers then
   /// fall back to run() per deviation).  The base profile's own entries for
-  /// \p agent are irrelevant: every query overrides them.
-  [[nodiscard]] virtual std::unique_ptr<AgentUtilityContext>
-  make_utility_context(const model::LatencyFamily& family, double arrival_rate,
-                       const model::BidProfile& base, std::size_t agent) const;
+  /// \p agent are irrelevant: every query overrides them.  Wraps
+  /// make_profile_context.
+  [[nodiscard]] std::unique_ptr<AgentUtilityContext> make_utility_context(
+      const model::LatencyFamily& family, double arrival_rate,
+      const model::BidProfile& base, std::size_t agent) const;
 
   /// Build an O(1)-per-deviation evaluator over the whole profile (any agent,
-  /// with commit support), or nullptr when no closed form applies — callers
-  /// then fall back to run() per deviation.  \p base is copied; the context
-  /// does not alias it afterwards.  The default make_utility_context wraps
-  /// this, so a mechanism that implements make_profile_context gets the audit
-  /// fast path for free.
-  [[nodiscard]] virtual std::unique_ptr<ProfileUtilityContext>
-  make_profile_context(const model::LatencyFamily& family, double arrival_rate,
-                       const model::BidProfile& base) const;
+  /// with commit support) for the engine classify_round picks, or nullptr
+  /// on the generic path and for Archer–Tardos off the linear family —
+  /// callers then fall back to run() per deviation.  \p base is copied; the
+  /// context does not alias it afterwards.
+  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
+      const model::LatencyFamily& family, double arrival_rate,
+      const model::BidProfile& base) const;
 
   [[nodiscard]] const alloc::Allocator& allocator() const {
     return *allocator_;
   }
 
  protected:
-  /// Fill compensation / bonus / payment for every agent.  \p outcomes
-  /// arrives with allocation and valuation already set, and the round's
-  /// latencies are precomputed: \p actual_latency is L(x, t~) and
-  /// \p reported_latency is L(x, b), so payment rules never re-derive them.
-  /// \p ws carries the round classification (ws.linear_fast,
-  /// ws.pr_closed_form + ws.inverse_sum) and, on the generic path, the
-  /// latency-function arenas ws.exec_fns / ws.bid_fns already built for this
-  /// round; rules may use ws.leave_one_out / ws.own_cost as scratch.
+  /// Fill compensation / bonus / payment for every agent on the generic
+  /// path.  \p outcomes arrives with allocation and valuation already set,
+  /// and the round's latencies are precomputed: \p actual_latency is
+  /// L(x, t~) and \p reported_latency is L(x, b), so payment rules never
+  /// re-derive them.  The latency-function arenas ws.exec_fns / ws.bid_fns
+  /// are already built for this round; rules may use ws.leave_one_out /
+  /// ws.own_cost as scratch.
   virtual void fill_payments(const model::LatencyFamily& family,
                              double arrival_rate,
                              std::span<const double> bids,
@@ -284,16 +308,14 @@ class Mechanism {
                              std::vector<AgentOutcome>& outcomes,
                              RoundWorkspace& ws) const = 0;
 
-  /// Resolve all n leave-one-out optima into ws.leave_one_out.  Uses the
-  /// single-pass PR inverse sum published by run_into when valid (satellite
-  /// fix: S is accumulated once per round, not once per consumer), else the
-  /// allocator's batched solver.
-  void leave_one_out_into_ws(const model::LatencyFamily& family,
-                             double arrival_rate,
-                             std::span<const double> bids,
-                             RoundWorkspace& ws) const;
-
  private:
+  /// The reference round: validation, allocator, latency arenas,
+  /// fill_payments, utilities.
+  void run_generic_into(const model::LatencyFamily& family,
+                        double arrival_rate, std::span<const double> bids,
+                        std::span<const double> executions,
+                        MechanismOutcome& out, RoundWorkspace& ws) const;
+
   std::shared_ptr<const alloc::Allocator> allocator_;
 };
 

@@ -4,14 +4,13 @@
 #include <cmath>
 #include <vector>
 
-#include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
 
-LinearPrProfileContext::LinearPrProfileContext(LinearPrRule rule,
+LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
                                                double arrival_rate,
                                                model::BidProfile base)
     : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
@@ -26,8 +25,7 @@ LinearPrProfileContext::LinearPrProfileContext(LinearPrRule rule,
 double LinearPrProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_ASSERT(bid > 0.0 && execution > 0.0,
-              "deviations must have positive bid and execution");
+  require_valid_inputs(bid, execution);
   const double r = arrival_rate_;
   const double old_inv = 1.0 / profile_.bids[agent];
   const double s_rest = s_ - old_inv;
@@ -36,23 +34,23 @@ double LinearPrProfileContext::utility(std::size_t agent, double bid,
   const double x = r * inv / s;
   const double x2 = x * x;
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
       return r * r / s_rest - actual_after(agent, s, inv, execution);
-    case LinearPrRule::kCompBonusBid:
+    case PaymentRule::kCompBonusBid:
       return bid * x2 + (r * r / s_rest -
                          actual_after(agent, s, inv, execution)) -
              execution * x2;
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
       // (R/S')^2 S_rest, so the Clarke payment is
       // L_{-i} - (R^2/S' - b x^2).
       const double payment = r * r / s_rest - r * r / s + bid * x2;
       return payment - execution * x2;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -execution * x2;
-    case LinearPrRule::kArcherTardos: {
+    case PaymentRule::kArcherTardos: {
       // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
       // on s_rest, so truth-telling in bids is dominant but slow execution
       // (e > t) goes unpunished — the verification-free baseline.
@@ -68,8 +66,7 @@ double LinearPrProfileContext::utility(std::size_t agent, double bid,
 void LinearPrProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_ASSERT(bid > 0.0 && execution > 0.0,
-              "deviations must have positive bid and execution");
+  require_valid_inputs(bid, execution);
   const double old_bid = profile_.bids[agent];
   const double old_exec = profile_.executions[agent];
   s_ += 1.0 / bid - 1.0 / old_bid;
@@ -104,30 +101,30 @@ void LinearPrProfileContext::outcome_into(MechanismOutcome& out) const {
     agent.allocation = x;
     agent.valuation = -e * x2;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         agent.compensation = e * x2;
         agent.bonus = l_minus - actual;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         agent.compensation = b * x2;
         agent.bonus = l_minus - actual;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         agent.compensation = b * x2;  // own reported cost
         agent.bonus = l_minus - reported;
         break;
-      case LinearPrRule::kNoPayment:
+      case PaymentRule::kNoPayment:
         agent.compensation = 0.0;
         agent.bonus = 0.0;
         break;
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kArcherTardos:
         agent.compensation = b * x2;
         agent.bonus =
             archer_tardos_tail_integral(b, s_ - 1.0 / b, r);
         break;
     }
     agent.payment = agent.compensation + agent.bonus;
-    if (rule_ == LinearPrRule::kNoPayment) agent.payment = 0.0;
+    if (rule_ == PaymentRule::kNoPayment) agent.payment = 0.0;
     agent.utility = agent.payment + agent.valuation;
   }
 }
@@ -173,19 +170,6 @@ void LinearPrProfileContext::rebuild() {
          {"drift_w", drift_w}});
   }
   commits_since_rebuild_ = 0;
-}
-
-std::unique_ptr<ProfileUtilityContext> make_linear_pr_profile_context(
-    LinearPrRule rule, const model::LatencyFamily& family,
-    const alloc::Allocator& allocator, double arrival_rate,
-    const model::BidProfile& base) {
-  // The closed forms are exactly the PR allocation on linear latencies; any
-  // other allocator/family pairing must take the slow path.
-  if (dynamic_cast<const model::LinearFamily*>(&family) == nullptr ||
-      dynamic_cast<const alloc::PRAllocator*>(&allocator) == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<LinearPrProfileContext>(rule, arrival_rate, base);
 }
 
 }  // namespace lbmv::core

@@ -1,7 +1,6 @@
 #include "lbmv/core/simd_round.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -37,13 +36,6 @@ static_assert(offsetof(AgentOutcome, allocation) == 0 &&
                   offsetof(AgentOutcome, valuation) == 32 &&
                   offsetof(AgentOutcome, utility) == 40,
               "AgentOutcome field order is part of the publish contract");
-
-std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{util::simd::kAvx2
-                                              ? KernelBackend::kVectorized
-                                              : KernelBackend::kScalar};
-  return state;
-}
 
 /// Tasks to fan the block grid into.  Never affects results (fixed grid,
 /// block-order reduction) — only wall-clock.
@@ -124,11 +116,11 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // 16–24 bytes of planes and writes its 8-byte rate plus one 48-byte record.
 //
 // The rate uses one precomputed reciprocal share, x = inv * (R/S), which
-// replaces the scalar kernels' per-agent division (inv/S)*R — the round's
+// replaces the generic path's per-agent division (inv/S)*R — the round's
 // hottest divider work — at a cost of <= 2 ulp on x.  Every other value
-// applies exactly the scalar fill_payments' operand order on that x —
+// applies exactly the generic fill_payments' operand order on that x —
 // ca = (e*x)*x, cr = (b*x)*x, loo = R^2/(S - inv) — so the leave-one-out /
-// tail terms still match the scalar kernels bit-for-bit at equal S, while
+// tail terms still match the generic path bit-for-bit at equal S, while
 // x-derived values and the closed-form latency totals (see
 // run_linear_pr_vectorized) sit within the DESIGN.md §12 ulp bound.  The
 // <4-agent tail mirrors the vector body in scalar, in index order.
@@ -136,7 +128,7 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // Validation is by mask: bit 0 of the returned status is the rule guard
 // (leave-one-out cancellation gap / Archer–Tardos tail positivity), bit 1
 // is "every rate finite" (1/b can overflow to inf for subnormal bids, and
-// the scalar path's Allocation constructor rejects that).  On a clear bit
+// the generic path's Allocation constructor rejects that).  On a clear bit
 // the published lanes are garbage; the caller re-runs the scalar check and
 // throws its canonical diagnostic, discarding them.
 //
@@ -352,24 +344,14 @@ template <bool kExecBasis>
 
 }  // namespace
 
-KernelBackend kernel_backend() {
-  return backend_state().load(std::memory_order_relaxed);
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  backend_state().store(backend, std::memory_order_relaxed);
-}
-
 const char* vector_backend_name() { return util::simd::backend_name(); }
 
-SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
+SimdRoundStats run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
                                         std::span<const double> bids,
                                         std::span<const double> executions,
                                         MechanismOutcome& out,
                                         RoundWorkspace& ws,
                                         const RoundOptions& options) {
-  LBMV_REQUIRE(rule != VectorRule::kNone,
-               "vectorized round requires a payment rule");
   const std::size_t n = bids.size();
   const std::size_t nblocks = (n + kShardBlock - 1) / kShardBlock;
   util::ThreadPool& pool =
@@ -407,38 +389,32 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
   }
   if (!inputs_ok) {
     // Re-run the scalar validation loop so the diagnostic names the first
-    // offender in the same order the scalar path would.
+    // offender in the same order the generic path would.
     for (std::size_t i = 0; i < n; ++i) {
-      LBMV_REQUIRE(std::isfinite(bids[i]) && bids[i] > 0.0,
-                   "bids must be positive and finite");
-      LBMV_REQUIRE(std::isfinite(executions[i]) && executions[i] > 0.0,
-                   "execution values must be positive and finite");
+      require_valid_inputs(bids[i], executions[i]);
     }
   }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   double inverse_sum = 0.0;
   double exec_weight = 0.0;
   for (std::size_t b = 0; b < nblocks; ++b) {
     inverse_sum += ws.block_partials[2 * b];
     exec_weight += ws.block_partials[2 * b + 1];
   }
-  ws.pr_closed_form = true;
-  ws.inverse_sum = inverse_sum;
 
   // Latency totals in closed form: with x_i = inv_i/S * R the sums factor,
   //   L(x, b) = sum (b_i x_i) x_i = R^2 / S              (the PR optimum L*)
   //   L(x, e) = sum (e_i x_i) x_i = (R/S)^2 * W,   W = sum (e_i inv_i) inv_i
   // so no second reduction pass over the planes is needed.  Versus the
-  // scalar left folds both totals are within the DESIGN.md §12 error bound.
+  // generic left folds both totals are within the DESIGN.md §12 error bound.
   const double share = arrival_rate / inverse_sum;
   const double actual_total = (share * share) * exec_weight;
   const double reported_total = share * arrival_rate;
 
   // ---- P2: fused allocation + rule terms + transposed AoS publish --------
-  const bool needs_loo = rule == VectorRule::kCompBonusExecution ||
-                         rule == VectorRule::kCompBonusBid ||
-                         rule == VectorRule::kVcg;
-  const bool needs_tail = rule == VectorRule::kArcherTardos;
+  const bool needs_loo = rule == PaymentRule::kCompBonusExecution ||
+                         rule == PaymentRule::kCompBonusBid ||
+                         rule == PaymentRule::kVcg;
+  const bool needs_tail = rule == PaymentRule::kArcherTardos;
   if (needs_loo && obs::enabled()) {
     obs::MechProbes& probes = obs::MechProbes::get();
     probes.loo_batches.inc();
@@ -457,36 +433,34 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
     const std::size_t len = std::min(n - lo, kShardBlock);
     unsigned char status = kGuardOk | kRatesFinite;
     switch (rule) {
-      case VectorRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         status = publish_comp_bonus_block<true>(
             len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
             inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
             agents + lo);
         break;
-      case VectorRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         status = publish_comp_bonus_block<false>(
             len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
             inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
             agents + lo);
         break;
-      case VectorRule::kVcg:
+      case PaymentRule::kVcg:
         status = publish_vcg_block(len, inv.data() + lo, bids.data() + lo,
                                    executions.data() + lo, inverse_sum, share,
                                    arrival_rate, min_gap, reported_total,
                                    x + lo, agents + lo);
         break;
-      case VectorRule::kArcherTardos:
+      case PaymentRule::kArcherTardos:
         status = publish_archer_tardos_block(
             len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
             inverse_sum, share, arrival_rate, x + lo, agents + lo);
         break;
-      case VectorRule::kNoPayment:
+      case PaymentRule::kNoPayment:
         status = publish_no_payment_block(len, inv.data() + lo,
                                           executions.data() + lo, share,
                                           x + lo, agents + lo);
         break;
-      case VectorRule::kNone:
-        break;  // dispatch never sends kNone here
     }
     ws.block_ok[b] = status;
   });
@@ -497,7 +471,7 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
     guards_ok = guards_ok && (ws.block_ok[b] & kGuardOk) != 0u;
   }
   if (!rates_finite) {
-    // The checked constructor raises the scalar path's diagnostic (it
+    // The checked constructor raises the generic path's diagnostic (it
     // validates before any payment guard fires there too).
     out.allocation = model::Allocation(std::move(rates));
   } else {

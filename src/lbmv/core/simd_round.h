@@ -26,14 +26,14 @@
 /// bit-identical for ANY shard count and ANY thread count — the serial path
 /// is simply the same block loop run inline.
 ///
-/// Versus the scalar kernels, S is reassociated (tree instead of left
-/// fold), the latency totals use the factored closed forms instead of the
+/// Versus the generic path, S is reassociated (tree instead of left fold),
+/// the latency totals use the factored closed forms instead of the
 /// per-agent left folds, and the rate uses one precomputed share,
-/// x = inv * (R/S), instead of the scalar (inv/S)*R — so outcomes agree to
-/// a bounded relative error of O(n·eps), the documented contract tested by
+/// x = inv * (R/S), instead of (inv/S)*R — so outcomes agree to a bounded
+/// relative error of O(n·eps), the documented contract tested by
 /// tests/test_simd_kernels.cpp.  Only the per-agent leave-one-out and
 /// Archer–Tardos tail terms, which apply the scalar operand order exactly,
-/// still match the scalar kernels bit-for-bit at equal S.
+/// still match the generic path bit-for-bit at equal S.
 
 #include <cstddef>
 #include <span>
@@ -45,24 +45,8 @@ namespace lbmv::core {
 class RoundWorkspace;   // batch.h
 struct RoundOptions;    // batch.h
 
-/// Which round engine Mechanism::run_into dispatches to on eligible rounds
-/// (linear family, PR allocator, a vector_rule() the engine implements).
-enum class KernelBackend {
-  kScalar,      ///< the historical per-agent loops
-  kVectorized,  ///< the blocked SIMD engine of this header
-};
-
-/// Process-wide engine selector (relaxed atomic).  Defaults to kVectorized
-/// when the AVX2 backend was compiled in (LBMV_SIMD=ON) and kScalar
-/// otherwise, so an LBMV_SIMD=OFF build reproduces the historical kernels
-/// bit-for-bit by default; tests and benches flip it to compare the two
-/// engines — under OFF builds the vectorized engine runs on the emulated
-/// 4-lane backend, which produces the same bits as AVX2.
-[[nodiscard]] KernelBackend kernel_backend();
-void set_kernel_backend(KernelBackend backend);
-
 /// Tag of the vector backend compiled into this binary ("avx2" or
-/// "scalar-4lane"), independent of the runtime selector.
+/// "scalar-4lane").  Both produce the same bits.
 [[nodiscard]] const char* vector_backend_name();
 
 /// Agents per shard block.  A multiple of 8 (the kernels' unrolled step, so
@@ -81,14 +65,13 @@ struct SimdRoundStats {
   std::size_t shards = 1;  ///< pool tasks the block grid was fanned into
 };
 
-/// Run one vectorized round end to end: validation, PR allocation
-/// (publishing ws.inverse_sum / ws.pr_closed_form), latency totals,
-/// payments, utilities — the full contract of Mechanism::run_into on the
-/// fused linear fast path.  \p rule must not be kNone; \p options controls
-/// the fan-out (see RoundOptions).  Throws exactly the scalar path's
-/// diagnostics on invalid input (validation is re-run scalar on mask
-/// failure).
-SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
+/// Run one vectorized round end to end: validation, PR allocation, latency
+/// totals, payments, utilities — the full contract of Mechanism::run_into
+/// on the linear-PR pairing.  \p arrival_rate must already be checked
+/// positive and finite (run_into does); \p options controls the fan-out
+/// (see RoundOptions).  Throws exactly the generic path's diagnostics on
+/// invalid input (validation is re-run scalar on mask failure).
+SimdRoundStats run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
                                         std::span<const double> bids,
                                         std::span<const double> executions,
                                         MechanismOutcome& out,

@@ -1,6 +1,5 @@
 #include "lbmv/strategy/deviation.h"
 
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -36,9 +35,7 @@ DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
 double DeviationEvaluator::utility(std::size_t agent, double bid,
                                    double execution) const {
   LBMV_REQUIRE(agent < profile().size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0 && std::isfinite(bid) && execution > 0.0 &&
-                   std::isfinite(execution),
-               "deviations must have positive finite bid and execution");
+  core::require_valid_inputs(bid, execution);
   if (obs::enabled()) {
     obs::StrategyProbes& probes = obs::StrategyProbes::get();
     probes.deviation_evals.inc();
@@ -62,9 +59,7 @@ double DeviationEvaluator::utility(std::size_t agent, double bid,
 void DeviationEvaluator::commit(std::size_t agent, double bid,
                                 double execution) {
   LBMV_REQUIRE(agent < profile().size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0 && std::isfinite(bid) && execution > 0.0 &&
-                   std::isfinite(execution),
-               "deviations must have positive finite bid and execution");
+  core::require_valid_inputs(bid, execution);
   if (obs::enabled()) obs::StrategyProbes::get().commits.inc();
   if (context_ != nullptr) {
     context_->commit(agent, bid, execution);
@@ -80,9 +75,7 @@ void DeviationEvaluator::commit_batch(
     std::span<const core::BidDelta> deltas) {
   for (const core::BidDelta& d : deltas) {
     LBMV_REQUIRE(d.agent < profile().size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0 && std::isfinite(d.bid) && d.execution > 0.0 &&
-                     std::isfinite(d.execution),
-                 "deviations must have positive finite bid and execution");
+    core::require_valid_inputs(d.bid, d.execution);
   }
   if (deltas.empty()) return;
   if (obs::enabled()) {

@@ -79,7 +79,7 @@ inline void store(double* p, DVec a) { _mm256_storeu_pd(p, a.v); }
 }
 
 /// Lane-wise IEEE negation (a sign flip: -x, which differs from 0.0 - x at
-/// signed zeros, and the scalar kernels use the former).
+/// signed zeros, and the generic path uses the former).
 [[nodiscard]] inline DVec neg(DVec a) {
   return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
 }
@@ -205,7 +205,7 @@ inline void store(double* p, DVec a) {
 }
 
 /// Lane-wise IEEE negation (a sign flip: -x, which differs from 0.0 - x at
-/// signed zeros, and the scalar kernels use the former).
+/// signed zeros, and the generic path uses the former).
 [[nodiscard]] inline DVec neg(DVec a) {
   DVec r;
   for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = -a.v[i];

@@ -20,7 +20,6 @@
 #include "lbmv/alloc/convex_allocator.h"
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/batch.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/no_payment.h"
 #include "lbmv/core/vcg.h"
@@ -28,6 +27,7 @@
 #include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
+#include "support/generic_path.h"
 
 // ---------------------------------------------------------------------------
 // Counting global allocator: every operator new in the process bumps the
@@ -293,13 +293,11 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
   // resizing to exactly n every round: after a round at n = 64, rounds at
   // n = 32 must leave the 64-slot planes intact, and returning to n = 64
   // must cost exactly a steady-state round — no arena churn on either
-  // transition.  Forced onto the generic path (kScalar backend) so the
-  // arena is actually exercised.
+  // transition.  Forced onto the generic path (the GenericPath seam) so
+  // the arena is actually exercised.
   auto family = std::make_shared<lbmv::model::MM1Family>();
-  const CompBonusMechanism mechanism(
-      std::make_shared<const lbmv::alloc::MM1Allocator>());
-  const auto backend = lbmv::core::kernel_backend();
-  lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
+  const CompBonusMechanism mechanism(lbmv::testing::generic_path(
+      std::make_shared<const lbmv::alloc::MM1Allocator>()));
 
   const std::size_t big = 64;
   const std::size_t small = 32;
@@ -340,7 +338,6 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
 
   EXPECT_EQ(count_round(big), steady_big)
       << "growing back to the high-water size re-ran the arena setup";
-  lbmv::core::set_kernel_backend(backend);
 }
 
 TEST(ZeroAllocation, WarmSerialRunBatchNeverTouchesTheHeap) {

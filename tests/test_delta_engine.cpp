@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -19,8 +20,8 @@
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/delta_engine.h"
+#include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
@@ -34,6 +35,7 @@
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
+#include "support/generic_path.h"
 
 namespace {
 
@@ -83,8 +85,10 @@ void expect_throw(Fn&& fn, const std::string& message,
 /// Every mechanism on every family it supports.  Arrival rates keep every
 /// profile this suite perturbs (bids x [0.8, 1.2], executions x [1, 1.05])
 /// feasible: M/M/1 stays under half capacity, linear/workload are
-/// unconstrained.
-std::vector<Case> all_cases(std::size_t n, std::uint64_t seed) {
+/// unconstrained.  \p generic puts every allocator behind the GenericPath
+/// seam, so the same cases run on the generic reference path.
+std::vector<Case> all_cases(std::size_t n, std::uint64_t seed,
+                            bool generic = false) {
   using lbmv::core::CompBonusMechanism;
   using lbmv::core::CompensationBasis;
   const auto types = band_types(n, seed);
@@ -98,10 +102,15 @@ std::vector<Case> all_cases(std::size_t n, std::uint64_t seed) {
   const auto mm1 = std::make_shared<const lbmv::model::MM1Family>();
   const auto workload =
       std::make_shared<const lbmv::model::WorkloadFamily>(0.5);
-  const auto pr = std::make_shared<const lbmv::alloc::PRAllocator>();
-  const auto mm1_alloc = std::make_shared<const lbmv::alloc::MM1Allocator>();
+  const auto on_path =
+      [generic](std::shared_ptr<const lbmv::alloc::Allocator> a) {
+        return generic ? lbmv::testing::generic_path(std::move(a)) : a;
+      };
+  const auto pr = on_path(std::make_shared<const lbmv::alloc::PRAllocator>());
+  const auto mm1_alloc =
+      on_path(std::make_shared<const lbmv::alloc::MM1Allocator>());
   const auto workload_alloc =
-      std::make_shared<const lbmv::alloc::WorkloadAllocator>();
+      on_path(std::make_shared<const lbmv::alloc::WorkloadAllocator>());
 
   std::vector<Case> cases;
   const auto add = [&](std::string name,
@@ -123,7 +132,7 @@ std::vector<Case> all_cases(std::size_t n, std::uint64_t seed) {
       std::make_shared<const lbmv::core::NoPaymentMechanism>(pr), linear,
       linear_rate);
   add("archer_tardos/linear",
-      std::make_shared<const lbmv::core::ArcherTardosMechanism>(), linear,
+      std::make_shared<const lbmv::core::ArcherTardosMechanism>(pr), linear,
       linear_rate);
   add("comp_bonus_exec/mm1",
       std::make_shared<const CompBonusMechanism>(mm1_alloc,
@@ -282,31 +291,43 @@ TEST(Errors, DiagnosticsArePreservedBitForBit) {
 
 TEST(Errors, InfiniteInputsRaiseTypedErrors) {
   // +inf passes a bare "> 0" test; every round entry must reject it on
-  // every family and on both kernel backends, directly and through the
-  // engine.  n = 13 puts agent 2 in a vector lane and agent 12 in the
+  // every family, on the exact engines and on the generic path, directly,
+  // through the cached engine, and through the profile contexts and grid
+  // kernels.  n = 13 puts agent 2 in a vector lane and agent 12 in the
   // scalar tail of the blocked kernels.
   const std::size_t n = 13;
   const double inf = std::numeric_limits<double>::infinity();
-  const lbmv::core::KernelBackend saved = lbmv::core::kernel_backend();
-  for (const auto backend : {lbmv::core::KernelBackend::kScalar,
-                             lbmv::core::KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
-    for (const Case& c : all_cases(n, 89)) {
+  const std::string rate_message = "arrival rate must be positive and finite";
+  for (const bool generic : {false, true}) {
+    for (const Case& c : all_cases(n, 89, generic)) {
       const auto types = band_types(n, 89);
+      const std::string path = c.name + (generic ? " generic" : " exact");
+      MechanismOutcome out;
+      lbmv::core::RoundWorkspace ws;
+      expect_throw(
+          [&] {
+            c.mechanism->run_into(*c.family, inf, types, types, out, ws);
+          },
+          rate_message, path + " rate");
+      expect_throw(
+          [&] {
+            DeltaRoundEngine engine(*c.mechanism, c.family, inf,
+                                    profile(types, types));
+          },
+          rate_message, path + " rate");
+      const auto context = c.mechanism->make_profile_context(
+          *c.family, c.arrival_rate, profile(types, types));
+      EXPECT_EQ(context == nullptr, generic) << path;
       for (const std::size_t agent : {std::size_t{2}, n - 1}) {
         for (const bool on_bid : {true, false}) {
           auto bids = types;
           auto executions = types;
           (on_bid ? bids : executions)[agent] = inf;
-          const std::string what =
-              c.name + (on_bid ? " bid " : " execution ") +
-              std::to_string(agent) + " backend " +
-              std::to_string(static_cast<int>(backend));
+          const std::string what = path + (on_bid ? " bid " : " execution ") +
+                                   std::to_string(agent);
           const std::string message =
               on_bid ? "bids must be positive and finite"
                      : "execution values must be positive and finite";
-          MechanismOutcome out;
-          lbmv::core::RoundWorkspace ws;
           expect_throw(
               [&] {
                 c.mechanism->run_into(*c.family, c.arrival_rate, bids,
@@ -324,11 +345,45 @@ TEST(Errors, InfiniteInputsRaiseTypedErrors) {
                                   profile(types, types));
           engine.sync(bids, executions);
           expect_throw([&] { (void)engine.outcome(); }, message, what);
+          if (context == nullptr) continue;
+          const double bid = bids[agent];
+          const double execution = executions[agent];
+          expect_throw(
+              [&] { (void)context->utility(agent, bid, execution); }, message,
+              what + " utility");
+          expect_throw([&] { context->commit(agent, bid, execution); },
+                       message, what + " commit");
+          const BidDelta delta{agent, bid, execution};
+          expect_throw([&] { context->commit_batch({&delta, 1}); }, message,
+                       what + " commit_batch");
+          EXPECT_TRUE(std::isfinite(context->actual_latency())) << what;
+        }
+        const std::vector<double> grid{0.9, 1.0, 1.1};
+        std::vector<double> plane(grid.size());
+        const std::string exec_message =
+            "execution values must be positive and finite";
+        if (const auto* linear =
+                dynamic_cast<const lbmv::core::LinearPrProfileContext*>(
+                    context.get())) {
+          expect_throw(
+              [&] {
+                lbmv::core::linear_pr_grid_utilities(*linear, agent, grid,
+                                                     inf, plane);
+              },
+              exec_message, path + " linear grid");
+        }
+        if (const auto* mm1 =
+                dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
+                    context.get())) {
+          expect_throw(
+              [&] {
+                lbmv::core::mm1_grid_utilities(*mm1, agent, grid, inf, plane);
+              },
+              exec_message, path + " mm1 grid");
         }
       }
     }
   }
-  lbmv::core::set_kernel_backend(saved);
 }
 
 TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {

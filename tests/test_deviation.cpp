@@ -15,15 +15,22 @@
 #include <vector>
 
 #include "lbmv/alloc/convex_allocator.h"
+#include "lbmv/alloc/mm1_allocator.h"
+#include "lbmv/alloc/pr_allocator.h"
+#include "lbmv/alloc/workload_allocator.h"
+#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/comp_bonus.h"
+#include "lbmv/core/family_context.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/profile_context.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
+#include "support/generic_path.h"
 
 namespace {
 
@@ -231,6 +238,100 @@ TEST(ProfileContext, VcgAndNoPaymentGainAuditFastPaths) {
   EXPECT_NE(none.make_utility_context(config.family(), config.arrival_rate(),
                                       profile, 2),
             nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch table: one classifier picks the engine — and with it the
+// profile context — for every (family, allocator) pairing and mechanism.
+
+TEST(Dispatch, ProfileContextFollowsTheRoundClassifier) {
+  using lbmv::core::EngineKind;
+  using lbmv::core::PaymentRule;
+  namespace alloc = lbmv::alloc;
+  namespace model = lbmv::model;
+  const auto pr = std::make_shared<const alloc::PRAllocator>();
+  const auto mm1 = std::make_shared<const alloc::MM1Allocator>();
+  const auto workload = std::make_shared<const alloc::WorkloadAllocator>();
+  const auto linear_family = std::make_shared<const model::LinearFamily>();
+  const auto mm1_family = std::make_shared<const model::MM1Family>();
+  const auto workload_family =
+      std::make_shared<const model::WorkloadFamily>(0.5);
+  const struct {
+    const char* name;
+    std::shared_ptr<const model::LatencyFamily> family;
+    std::shared_ptr<const alloc::Allocator> allocator;
+    EngineKind kind;
+  } pairings[] = {
+      {"linear+pr", linear_family, pr, EngineKind::kLinearPr},
+      {"linear+convex", linear_family,
+       std::make_shared<const alloc::ConvexAllocator>(), EngineKind::kGeneric},
+      {"mm1+mm1", mm1_family, mm1, EngineKind::kMm1},
+      {"mm1+pr", mm1_family, pr, EngineKind::kGeneric},
+      {"workload+workload", workload_family, workload, EngineKind::kWorkload},
+      {"seam(linear+pr)", linear_family, lbmv::testing::generic_path(pr),
+       EngineKind::kGeneric},
+      {"seam(mm1+mm1)", mm1_family, lbmv::testing::generic_path(mm1),
+       EngineKind::kGeneric},
+      {"seam(workload+workload)", workload_family,
+       lbmv::testing::generic_path(workload), EngineKind::kGeneric},
+  };
+  // mu = 1/theta in [0.5, 1]: 0.4 jobs/s keeps every M/M/1 subsystem
+  // feasible.
+  const BidProfile base = BidProfile::truthful(
+      SystemConfig({1.0, 1.25, 1.5, 2.0}, 0.4));
+  for (const auto& p : pairings) {
+    EXPECT_EQ(lbmv::core::classify_round(*p.family, *p.allocator), p.kind)
+        << p.name;
+    std::vector<std::unique_ptr<Mechanism>> mechanisms;
+    mechanisms.push_back(std::make_unique<CompBonusMechanism>(p.allocator));
+    mechanisms.push_back(std::make_unique<CompBonusMechanism>(
+        p.allocator, CompensationBasis::kBid));
+    mechanisms.push_back(std::make_unique<VcgMechanism>(p.allocator));
+    mechanisms.push_back(
+        std::make_unique<lbmv::core::ArcherTardosMechanism>(p.allocator));
+    mechanisms.push_back(std::make_unique<NoPaymentMechanism>(p.allocator));
+    const PaymentRule rules[] = {
+        PaymentRule::kCompBonusExecution, PaymentRule::kCompBonusBid,
+        PaymentRule::kVcg, PaymentRule::kArcherTardos, PaymentRule::kNoPayment};
+    for (std::size_t k = 0; k < mechanisms.size(); ++k) {
+      const Mechanism& m = *mechanisms[k];
+      EXPECT_EQ(m.payment_rule(), rules[k]) << m.name();
+      const auto context = m.make_profile_context(*p.family, 0.4, base);
+      const std::string what = std::string(p.name) + " " + m.name();
+      const bool tail = rules[k] == PaymentRule::kArcherTardos;
+      switch (p.kind) {
+        case EngineKind::kLinearPr:
+          EXPECT_NE(dynamic_cast<const lbmv::core::LinearPrProfileContext*>(
+                        context.get()),
+                    nullptr)
+              << what;
+          break;
+        case EngineKind::kMm1:
+          if (tail) {
+            EXPECT_EQ(context, nullptr) << what;
+          } else {
+            EXPECT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
+                          context.get()),
+                      nullptr)
+                << what;
+          }
+          break;
+        case EngineKind::kWorkload:
+          if (tail) {
+            EXPECT_EQ(context, nullptr) << what;
+          } else {
+            EXPECT_NE(dynamic_cast<const lbmv::core::WorkloadProfileContext*>(
+                          context.get()),
+                      nullptr)
+                << what;
+          }
+          break;
+        case EngineKind::kGeneric:
+          EXPECT_EQ(context, nullptr) << what;
+          break;
+      }
+    }
+  }
 }
 
 TEST(ProfileContext, AgentContextAgreesWithFullRuns) {

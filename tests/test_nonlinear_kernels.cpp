@@ -6,7 +6,7 @@
 //     R >= sum mu, the near-saturation cancellation guard, leave-one-out
 //     subsystems that cannot absorb the load (naming the offending agent),
 //     and execution-side overload x_i >= mu~_i — identically on the fused
-//     (kVectorized) and generic (kScalar) paths.
+//     engine and on the generic path (the GenericPath seam).
 //   * The workload-family Newton solve agrees with a long-double bisection
 //     oracle on the KKT multiplier to 1e-9 relative.
 //   * The workload leave-one-out Taylor model agrees with an exact
@@ -43,7 +43,6 @@
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
@@ -54,12 +53,12 @@
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
+#include "support/generic_path.h"
 
 namespace {
 
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
-using lbmv::core::KernelBackend;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
@@ -72,16 +71,6 @@ using lbmv::model::WorkloadFamily;
 using lbmv::strategy::DeviationEvaluator;
 using lbmv::strategy::GridEvaluator;
 using lbmv::util::PreconditionError;
-
-/// Backend save/restore so every test leaves the process default intact.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(lbmv::core::kernel_backend()) {}
-  ~BackendGuard() { lbmv::core::set_kernel_backend(saved_); }
-
- private:
-  KernelBackend saved_;
-};
 
 /// Mean service times with mu = 1/theta in [1, 2]: at arrival rates up to
 /// roughly half the total capacity every computer stays active in the full
@@ -140,24 +129,26 @@ double outcome_rel_err(const MechanismOutcome& a, const MechanismOutcome& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity boundaries: typed PreconditionErrors on both backends.
+// Capacity boundaries: typed PreconditionErrors on both paths.
 
-TEST(Mm1Boundary, InfeasibleArrivalRateThrowsTypedOnBothBackends) {
+/// The exact M/M/1 allocator, and the same allocator behind the seam.
+std::vector<std::shared_ptr<const lbmv::alloc::Allocator>> mm1_paths() {
+  const auto exact = std::make_shared<const lbmv::alloc::MM1Allocator>();
+  return {exact, lbmv::testing::generic_path(exact)};
+}
+
+TEST(Mm1Boundary, InfeasibleArrivalRateThrowsTypedOnBothPaths) {
   const MM1Family family;
-  const CompBonusMechanism mechanism(
-      std::make_shared<const lbmv::alloc::MM1Allocator>());
   const std::vector<double> thetas{0.5, 0.5, 1.0};  // sum mu = 5
   RoundWorkspace ws;
   MechanismOutcome out;
-  BackendGuard guard;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
+  for (const auto& allocator : mm1_paths()) {
+    const CompBonusMechanism mechanism(allocator);
     for (double rate : {5.0, 7.5}) {  // R == sum mu and R > sum mu
       EXPECT_THROW(
           mechanism.run_into(family, rate, thetas, thetas, out, ws),
           PreconditionError)
-          << "rate " << rate;
+          << allocator->name() << " rate " << rate;
     }
   }
 }
@@ -194,23 +185,19 @@ TEST(Mm1Boundary, LeaveOneOutOverloadNamesTheOffendingAgent) {
   }
 }
 
-TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothBackends) {
+TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothPaths) {
   // Underbid-and-slack: computer 0 bids fast (mu = 10) but executes slow
   // (mu~ = 1).  Its assignment x_0 approaches the bid capacity from below —
   // far beyond the *actual* capacity, x_0 >= mu~_0 — so the actual-latency
-  // pass must throw the typed domain error on both backends (the fused
+  // pass must throw the typed domain error on both paths (the fused
   // engine declines such rounds; the generic path owns the diagnostic).
   const MM1Family family;
-  const CompBonusMechanism mechanism(
-      std::make_shared<const lbmv::alloc::MM1Allocator>());
   const std::vector<double> bids{0.1, 0.5, 0.5};
   const std::vector<double> execs{1.0, 0.5, 0.5};
   RoundWorkspace ws;
   MechanismOutcome out;
-  BackendGuard guard;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
+  for (const auto& allocator : mm1_paths()) {
+    const CompBonusMechanism mechanism(allocator);
     try {
       mechanism.run_into(family, 10.0, bids, execs, out, ws);
       FAIL() << "overloaded execution did not throw";
@@ -471,8 +458,6 @@ TEST(WorkloadLeaveOneOut, AllocatorAndFusedRoundShareTheModel) {
   std::vector<double> via_allocator;
   lbmv::alloc::WorkloadAllocator().leave_one_out_into(family, thetas, rate,
                                                       via_allocator);
-  BackendGuard guard;
-  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::WorkloadAllocator>());
   RoundWorkspace ws;
@@ -491,22 +476,22 @@ TEST(WorkloadLeaveOneOut, AllocatorAndFusedRoundShareTheModel) {
 TEST(FusedDifferential, Mm1FusedRoundsMatchGenericPath) {
   const MM1Family family;
   const auto allocator = std::make_shared<const lbmv::alloc::MM1Allocator>();
+  const auto engines = family_mechanisms(allocator);
+  const auto generics =
+      family_mechanisms(lbmv::testing::generic_path(allocator));
   RoundWorkspace ws;
   MechanismOutcome fused;
   MechanismOutcome generic;
-  BackendGuard guard;
   for (std::size_t n : {2u, 5u, 64u, 257u}) {  // covers every lane tail
     const auto thetas = narrow_types(n, 17 * n + 1);
     auto execs = thetas;
     for (double& e : execs) e *= 1.05;
     const double rate = feasible_rate(thetas);
-    for (const auto& mechanism : family_mechanisms(allocator)) {
-      lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-      mechanism->run_into(family, rate, thetas, execs, generic, ws);
-      lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-      mechanism->run_into(family, rate, thetas, execs, fused, ws);
+    for (std::size_t k = 0; k < engines.size(); ++k) {
+      generics[k]->run_into(family, rate, thetas, execs, generic, ws);
+      engines[k]->run_into(family, rate, thetas, execs, fused, ws);
       EXPECT_LE(outcome_rel_err(fused, generic), 1e-9)
-          << mechanism->name() << " n=" << n;
+          << engines[k]->name() << " n=" << n;
     }
   }
 }
@@ -515,22 +500,22 @@ TEST(FusedDifferential, WorkloadFusedRoundsMatchGenericPath) {
   const WorkloadFamily family(0.5);
   const auto allocator =
       std::make_shared<const lbmv::alloc::WorkloadAllocator>();
+  const auto engines = family_mechanisms(allocator);
+  const auto generics =
+      family_mechanisms(lbmv::testing::generic_path(allocator));
   RoundWorkspace ws;
   MechanismOutcome fused;
   MechanismOutcome generic;
-  BackendGuard guard;
   for (std::size_t n : {2u, 5u, 64u, 257u}) {
     const auto thetas = narrow_types(n, 23 * n + 5);
     auto execs = thetas;
     for (double& e : execs) e *= 1.4;
     const double rate = static_cast<double>(n);
-    for (const auto& mechanism : family_mechanisms(allocator)) {
-      lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-      mechanism->run_into(family, rate, thetas, execs, generic, ws);
-      lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-      mechanism->run_into(family, rate, thetas, execs, fused, ws);
+    for (std::size_t k = 0; k < engines.size(); ++k) {
+      generics[k]->run_into(family, rate, thetas, execs, generic, ws);
+      engines[k]->run_into(family, rate, thetas, execs, fused, ws);
       EXPECT_LE(outcome_rel_err(fused, generic), 1e-9)
-          << mechanism->name() << " n=" << n;
+          << engines[k]->name() << " n=" << n;
     }
   }
 }

@@ -1,15 +1,16 @@
 // Differential tests for the vectorized round engine and its block kernels.
 //
 // The contract under test (DESIGN.md §12): on the linear-family /
-// PR-allocator configuration the vectorized engine agrees with the scalar
-// kernels to a bounded relative error of 1e-9 on every published value —
-// the engine reassociates S, computes both latency totals in closed form
-// and multiplies rates by one precomputed share, each an O(n·eps)
+// PR-allocator configuration the vectorized engine agrees with the generic
+// reference path (the same mechanism over the GenericPath seam) to a
+// bounded relative error of 1e-9 on every published value — the engine
+// reassociates S, computes both latency totals in closed form and
+// multiplies rates by one precomputed share, each an O(n·eps)
 // perturbation — while the per-agent leave-one-out and Archer–Tardos tail
 // kernels, which apply the scalar operand order exactly, match the scalar
 // loops bit-for-bit at equal S.  The block grid and every reduction tree
 // are fixed, so outcomes are bit-identical across shard and thread counts,
-// and invalid inputs throw the scalar path's diagnostics.
+// and invalid inputs throw the generic path's diagnostics.
 
 #include <gtest/gtest.h>
 
@@ -34,35 +35,23 @@
 #include "lbmv/util/rng.h"
 #include "lbmv/util/simd.h"
 #include "lbmv/util/thread_pool.h"
+#include "support/generic_path.h"
 
 namespace {
 
 using lbmv::core::ArcherTardosMechanism;
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
-using lbmv::core::KernelBackend;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
 using lbmv::core::RoundOptions;
 using lbmv::core::RoundWorkspace;
 using lbmv::core::VcgMechanism;
-using lbmv::core::VectorRule;
 
 /// The engine's documented cross-engine bound (DESIGN.md §12).  The
 /// measured deviation is ~1e-13 at n = 10^6; 1e-9 is the contract.
 constexpr double kUlpBound = 1e-9;
-
-/// Restore the process-wide backend selector on scope exit so test order
-/// never leaks a selector change.
-class BackendGuard {
- public:
-  BackendGuard() : entry_(lbmv::core::kernel_backend()) {}
-  ~BackendGuard() { lbmv::core::set_kernel_backend(entry_); }
-
- private:
-  KernelBackend entry_;
-};
 
 struct Profile {
   std::vector<double> bids;
@@ -84,11 +73,10 @@ Profile random_profile(std::size_t n, std::uint64_t seed, double lo = 0.2,
   return p;
 }
 
-void run_with(const Mechanism& m, KernelBackend backend, double rate,
-              const Profile& p, MechanismOutcome& out, RoundWorkspace& ws,
+void run_with(const Mechanism& m, double rate, const Profile& p,
+              MechanismOutcome& out, RoundWorkspace& ws,
               const RoundOptions& options = {}) {
   const lbmv::model::LinearFamily family;
-  lbmv::core::set_kernel_backend(backend);
   m.run_into(family, rate, p.bids, p.executions, out, ws, options);
 }
 
@@ -130,58 +118,72 @@ double max_outcome_rel_err(const MechanismOutcome& a,
   return worst;
 }
 
-std::vector<std::unique_ptr<Mechanism>> all_vector_mechanisms() {
+/// Every mechanism over \p allocator: the PR allocator for the engine, the
+/// seam around it for the generic reference.
+std::vector<std::unique_ptr<Mechanism>> all_mechanisms(
+    const std::shared_ptr<const lbmv::alloc::Allocator>& allocator) {
   std::vector<std::unique_ptr<Mechanism>> ms;
-  ms.push_back(std::make_unique<CompBonusMechanism>());  // execution basis
-  ms.push_back(std::make_unique<CompBonusMechanism>(
-      lbmv::core::default_allocator(), CompensationBasis::kBid));
-  ms.push_back(std::make_unique<VcgMechanism>());
-  ms.push_back(std::make_unique<ArcherTardosMechanism>());
-  ms.push_back(std::make_unique<NoPaymentMechanism>());
+  ms.push_back(std::make_unique<CompBonusMechanism>(allocator));
+  ms.push_back(
+      std::make_unique<CompBonusMechanism>(allocator, CompensationBasis::kBid));
+  ms.push_back(std::make_unique<VcgMechanism>(allocator));
+  ms.push_back(std::make_unique<ArcherTardosMechanism>(allocator));
+  ms.push_back(std::make_unique<NoPaymentMechanism>(allocator));
   return ms;
 }
 
-// ---------------------------------------------------------------------------
-// Differential: vectorized vs scalar engine, every mechanism, both bases.
+std::vector<std::unique_ptr<Mechanism>> engine_mechanisms() {
+  return all_mechanisms(lbmv::core::default_allocator());
+}
 
-TEST(SimdKernels, MatchesScalarAcrossMechanismsAndSizes) {
-  BackendGuard guard;
+std::vector<std::unique_ptr<Mechanism>> generic_mechanisms() {
+  return all_mechanisms(
+      lbmv::testing::generic_path(lbmv::core::default_allocator()));
+}
+
+// ---------------------------------------------------------------------------
+// Differential: vectorized engine vs generic path, every mechanism, both
+// bases.
+
+TEST(SimdKernels, MatchesGenericPathAcrossMechanismsAndSizes) {
   // Sizes cover: below one vector, exact vector multiples, every tail
   // residue mod 4 (the lane count), and spans into multiple 8-agent steps.
   const std::size_t sizes[] = {2, 3, 4, 5, 7, 8, 9, 64, 100, 257, 1023,
                                1024, 1025};
-  const auto mechanisms = all_vector_mechanisms();
-  for (const auto& m : mechanisms) {
-    ASSERT_NE(m->vector_rule(), VectorRule::kNone) << m->name();
+  const auto engines = engine_mechanisms();
+  const auto generics = generic_mechanisms();
+  for (std::size_t k = 0; k < engines.size(); ++k) {
+    const Mechanism& m = *engines[k];
     for (const std::size_t n : sizes) {
       const Profile p = random_profile(n, 1000 + n);
-      MechanismOutcome scalar_out, simd_out;
-      RoundWorkspace scalar_ws, simd_ws;
-      run_with(*m, KernelBackend::kScalar, 9.0, p, scalar_out, scalar_ws);
-      run_with(*m, KernelBackend::kVectorized, 9.0, p, simd_out, simd_ws);
-      EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out), kUlpBound)
-          << m->name() << " n=" << n;
+      MechanismOutcome generic_out, simd_out;
+      RoundWorkspace generic_ws, simd_ws;
+      run_with(*generics[k], 9.0, p, generic_out, generic_ws);
+      run_with(m, 9.0, p, simd_out, simd_ws);
+      EXPECT_LE(max_outcome_rel_err(generic_out, simd_out), kUlpBound)
+          << m.name() << " n=" << n;
     }
   }
 }
 
-TEST(SimdKernels, MatchesScalarOnBoundaryBids) {
-  BackendGuard guard;
+TEST(SimdKernels, MatchesGenericPathOnBoundaryBids) {
   // Extreme dynamic range: 1e-8 .. 1e8 bids stress S against individual
   // 1/b_i and push the leave-one-out denominators toward the guard.
-  const auto mechanisms = all_vector_mechanisms();
-  for (const auto& m : mechanisms) {
+  const auto engines = engine_mechanisms();
+  const auto generics = generic_mechanisms();
+  for (std::size_t k = 0; k < engines.size(); ++k) {
+    const Mechanism* m = engines[k].get();
     const Profile p = random_profile(301, 77, 1e-8, 1e8);
-    MechanismOutcome scalar_out, simd_out;
-    RoundWorkspace scalar_ws, simd_ws;
-    run_with(*m, KernelBackend::kScalar, 3.5, p, scalar_out, scalar_ws);
-    run_with(*m, KernelBackend::kVectorized, 3.5, p, simd_out, simd_ws);
+    MechanismOutcome generic_out, simd_out;
+    RoundWorkspace generic_ws, simd_ws;
+    run_with(*generics[k], 3.5, p, generic_out, generic_ws);
+    run_with(*m, 3.5, p, simd_out, simd_ws);
     // Measured against the round's latency scale: a 10^16 dynamic range in
     // bids makes some payments (an externality of a negligible agent)
     // cancel below their constituents, where per-field relative agreement
     // is not a property either engine has.
-    const double floor = std::abs(scalar_out.reported_latency);
-    EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out, floor), kUlpBound)
+    const double floor = std::abs(generic_out.reported_latency);
+    EXPECT_LE(max_outcome_rel_err(generic_out, simd_out, floor), kUlpBound)
         << m->name();
   }
 }
@@ -255,17 +257,15 @@ TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
 // outcome bit-identical for ANY shard count on ANY pool.
 
 TEST(SimdKernels, ShardCountNeverChangesBits) {
-  BackendGuard guard;
   // Spans four blocks (kShardBlock = 4096) with a ragged final block.
   const std::size_t n = 3 * lbmv::core::kShardBlock + 1234;
   const Profile p = random_profile(n, 11);
-  const auto mechanisms = all_vector_mechanisms();
+  const auto mechanisms = engine_mechanisms();
   lbmv::util::ThreadPool two(2), four(4);
   for (const auto& m : mechanisms) {
     MechanismOutcome serial_out;
     RoundWorkspace serial_ws;
-    run_with(*m, KernelBackend::kVectorized, 7.0, p, serial_out, serial_ws,
-             RoundOptions{1, nullptr});
+    run_with(*m, 7.0, p, serial_out, serial_ws, RoundOptions{1, nullptr});
     const struct {
       std::size_t shards;
       lbmv::util::ThreadPool* pool;
@@ -273,8 +273,7 @@ TEST(SimdKernels, ShardCountNeverChangesBits) {
     for (const auto& f : fanouts) {
       MechanismOutcome out;
       RoundWorkspace ws;
-      run_with(*m, KernelBackend::kVectorized, 7.0, p, out, ws,
-               RoundOptions{f.shards, f.pool});
+      run_with(*m, 7.0, p, out, ws, RoundOptions{f.shards, f.pool});
       ASSERT_EQ(out.agents.size(), serial_out.agents.size());
       EXPECT_EQ(0, std::memcmp(out.agents.data(), serial_out.agents.data(),
                                n * sizeof(lbmv::core::AgentOutcome)))
@@ -295,31 +294,29 @@ TEST(SimdKernels, ShardCountNeverChangesBits) {
 // (the plane-recycling and 4K-dodge offsets must never leak stale state).
 
 TEST(SimdKernels, WorkspaceReuseAcrossSizesAndRules) {
-  BackendGuard guard;
-  const auto mechanisms = all_vector_mechanisms();
+  const auto engines = engine_mechanisms();
+  const auto generics = generic_mechanisms();
   MechanismOutcome simd_out;
   RoundWorkspace simd_ws;  // shared across every run below
   const std::size_t sizes[] = {1024, 17, 513, 1024, 64};
   for (const std::size_t n : sizes) {
-    for (const auto& m : mechanisms) {
+    for (std::size_t k = 0; k < engines.size(); ++k) {
       const Profile p = random_profile(n, 2000 + n);
-      MechanismOutcome scalar_out;
-      RoundWorkspace scalar_ws;
-      run_with(*m, KernelBackend::kScalar, 5.0, p, scalar_out, scalar_ws);
-      run_with(*m, KernelBackend::kVectorized, 5.0, p, simd_out, simd_ws);
-      EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out), kUlpBound)
-          << m->name() << " n=" << n;
+      MechanismOutcome generic_out;
+      RoundWorkspace generic_ws;
+      run_with(*generics[k], 5.0, p, generic_out, generic_ws);
+      run_with(*engines[k], 5.0, p, simd_out, simd_ws);
+      EXPECT_LE(max_outcome_rel_err(generic_out, simd_out), kUlpBound)
+          << engines[k]->name() << " n=" << n;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Diagnostics: the vectorized engine re-runs scalar validation on mask
-// failure, so messages match the scalar path's byte for byte.
+// failure, so messages match the generic path's byte for byte.
 
-TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
-  BackendGuard guard;
-  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
+TEST(SimdKernels, InvalidInputsThrowGenericPathDiagnostics) {
   const lbmv::model::LinearFamily family;
   CompBonusMechanism m;
   MechanismOutcome out;
@@ -337,7 +334,7 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
                  lbmv::util::PreconditionError);
   }
   {
-    // A subnormal bid overflows 1/b to infinity: the scalar path dies in
+    // A subnormal bid overflows 1/b to infinity: the generic path dies in
     // the Allocation constructor, and the vectorized engine must route its
     // masked failure through the same checked constructor.
     Profile p = random_profile(8, 23);
@@ -354,20 +351,10 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
 // ---------------------------------------------------------------------------
 // Backend plumbing.
 
-TEST(SimdKernels, BackendSelectorAndNameAreCoherent) {
-  BackendGuard guard;
+TEST(SimdKernels, BackendNameMatchesCompiledBackend) {
   const char* name = lbmv::core::vector_backend_name();
   ASSERT_NE(name, nullptr);
-  if (lbmv::util::simd::kAvx2) {
-    EXPECT_STREQ(name, "avx2");
-    EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kVectorized);
-  } else {
-    EXPECT_STREQ(name, "scalar-4lane");
-  }
-  lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-  EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kScalar);
-  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-  EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kVectorized);
+  EXPECT_STREQ(name, lbmv::util::simd::kAvx2 ? "avx2" : "scalar-4lane");
 }
 
 TEST(SimdKernels, MaskPrimitivesMatchOrderedCompareSemantics) {

@@ -57,8 +57,8 @@
 // plus a `nonlinear_round` section for the fused nonlinear-family round
 // kernels (DESIGN.md §14): one M/M/1 round and one workload-family round
 // at n = 256 / 1024 / 10000 through the generic virtual-dispatch arena
-// (kScalar backend, the scalar oracle) and the fused engines (kVectorized)
-// on the same mechanisms in this same run, with a fused-vs-generic outcome
+// (the same mechanism over the GenericPath seam) and the fused engines on
+// the same profiles in this same run, with a fused-vs-generic outcome
 // differential and a Newton-vs-long-double-bisection check on the workload
 // KKT multiplier, both gating the exit code at 1e-9.
 //
@@ -123,6 +123,7 @@
 #include "lbmv/util/json.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
+#include "support/generic_path.h"
 
 namespace {
 
@@ -933,15 +934,16 @@ int main(int argc, char** argv) {
                 << "x)\n";
     }
     // Single-round series (DESIGN.md §12): ONE round at large n through the
-    // scalar kernels, the vectorized engine serial, and the vectorized
-    // engine with the agent axis auto-sharded over the global pool — all in
-    // this same process, with a differential cross-check between the two
-    // engines that shares the exit-code gate.
+    // generic path (the mechanism over the GenericPath seam), the
+    // vectorized engine serial, and the vectorized engine with the agent
+    // axis auto-sharded over the global pool — all in this same process,
+    // with a differential cross-check between the two that shares the
+    // exit-code gate.
     JsonValue::Array single_series;
     double single_max_err = 0.0;
     double simd_speedup_n1024 = 0.0;
-    const lbmv::core::KernelBackend entry_backend =
-        lbmv::core::kernel_backend();
+    const lbmv::core::CompBonusMechanism generic_mechanism(
+        lbmv::testing::generic_path(lbmv::core::default_allocator()));
     const std::vector<std::size_t> single_sizes =
         smoke ? std::vector<std::size_t>{1024, 10'000}
               : std::vector<std::size_t>{1024, 10'000, 100'000, 1'000'000};
@@ -950,20 +952,18 @@ int main(int argc, char** argv) {
       auto execs = bids;
       for (double& e : execs) e *= 1.25;
       lbmv::core::RoundWorkspace ws;
-      lbmv::core::MechanismOutcome scalar_outcome;
+      lbmv::core::MechanismOutcome generic_outcome;
       lbmv::core::MechanismOutcome simd_outcome;
       constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
                                                       /*pool=*/nullptr};
       constexpr lbmv::core::RoundOptions auto_round{};
 
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
-      const double scalar_secs = seconds_per_call(
+      const double generic_secs = seconds_per_call(
           [&] {
-            mechanism.run_into(family, arrival_rate, bids, execs,
-                               scalar_outcome, ws, serial_round);
+            generic_mechanism.run_into(family, arrival_rate, bids, execs,
+                                       generic_outcome, ws, serial_round);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double simd_secs = seconds_per_call(
           [&] {
             mechanism.run_into(family, arrival_rate, bids, execs,
@@ -971,7 +971,7 @@ int main(int argc, char** argv) {
           },
           tmin, treps);
       single_max_err = std::max(
-          single_max_err, outcome_max_rel_err(simd_outcome, scalar_outcome));
+          single_max_err, outcome_max_rel_err(simd_outcome, generic_outcome));
       const double sharded_secs = seconds_per_call(
           [&] {
             mechanism.run_into(family, arrival_rate, bids, execs,
@@ -981,20 +981,19 @@ int main(int argc, char** argv) {
 
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
-      entry["scalar_serial_rounds_per_sec"] = 1.0 / scalar_secs;
+      entry["generic_serial_rounds_per_sec"] = 1.0 / generic_secs;
       entry["simd_serial_rounds_per_sec"] = 1.0 / simd_secs;
       entry["simd_sharded_rounds_per_sec"] = 1.0 / sharded_secs;
-      entry["simd_serial_speedup_vs_scalar"] = scalar_secs / simd_secs;
-      entry["sharded_speedup_vs_scalar"] = scalar_secs / sharded_secs;
+      entry["simd_serial_speedup_vs_generic"] = generic_secs / simd_secs;
+      entry["sharded_speedup_vs_generic"] = generic_secs / sharded_secs;
       single_series.emplace_back(std::move(entry));
-      if (n == 1024) simd_speedup_n1024 = scalar_secs / simd_secs;
-      std::cout << "single_round n=" << n << ": scalar "
-                << 1.0 / scalar_secs << " rounds/s, simd serial "
-                << 1.0 / simd_secs << " (" << scalar_secs / simd_secs
+      if (n == 1024) simd_speedup_n1024 = generic_secs / simd_secs;
+      std::cout << "single_round n=" << n << ": generic "
+                << 1.0 / generic_secs << " rounds/s, simd serial "
+                << 1.0 / simd_secs << " (" << generic_secs / simd_secs
                 << "x), simd sharded " << 1.0 / sharded_secs << " ("
-                << scalar_secs / sharded_secs << "x)\n";
+                << generic_secs / sharded_secs << "x)\n";
     }
-    lbmv::core::set_kernel_backend(entry_backend);
 
     if (max_err >= 1e-9) batch_check_pass = false;
     if (single_max_err >= 1e-9) batch_check_pass = false;
@@ -1021,8 +1020,9 @@ int main(int argc, char** argv) {
         "(fresh allocation, per-agent heap-allocated latency functions, "
         "fresh leave-one-out vector) in this same process; run() now rides "
         "the fused kernel with a thread-local workspace, so its rate "
-        "tracks batch_serial; single_round compares the scalar kernels "
-        "against the vectorized engine (vector_backend) serial and "
+        "tracks batch_serial; single_round compares the generic path "
+        "(the same mechanism over the GenericPath seam) against the "
+        "vectorized engine (vector_backend) serial and "
         "auto-sharded on the global pool; parallel scaling is bounded by "
         "threads_used (the global pool) and hardware_concurrency";
     std::cout << "batch kernels cross-check: max rel err " << max_err
@@ -1254,10 +1254,10 @@ int main(int argc, char** argv) {
 
   // Fused nonlinear-family rounds (DESIGN.md §14): one full mechanism round
   // on the M/M/1 and workload-dependent-rate families through the generic
-  // virtual-dispatch arena (kScalar backend — the scalar oracle, fresh
+  // virtual-dispatch arena (the mechanism over the GenericPath seam — fresh
   // active-set machinery and per-agent virtual latency calls) and the fused
-  // engines (kVectorized — closed form / damped-free Newton on workspace
-  // planes), same mechanisms, same profiles, same process.  Differential
+  // engines (closed form / damped-free Newton on workspace planes), same
+  // payment rule, same profiles, same process.  Differential
   // gates on the exit code: fused vs generic outcomes at 1e-9 for both
   // families, and the workload Newton rates against a long-double bisection
   // oracle on the KKT multiplier at 1e-9.
@@ -1275,12 +1275,17 @@ int main(int argc, char** argv) {
     const lbmv::model::MM1Family mm1_family;
     const double gamma = 0.5;
     const lbmv::model::WorkloadFamily workload_family(gamma);
-    const lbmv::core::CompBonusMechanism mm1_mechanism(
-        std::make_shared<const lbmv::alloc::MM1Allocator>());
+    const auto mm1_allocator =
+        std::make_shared<const lbmv::alloc::MM1Allocator>();
+    const auto workload_allocator =
+        std::make_shared<const lbmv::alloc::WorkloadAllocator>();
+    const lbmv::core::CompBonusMechanism mm1_mechanism(mm1_allocator);
     const lbmv::core::CompBonusMechanism workload_mechanism(
-        std::make_shared<const lbmv::alloc::WorkloadAllocator>());
-    const lbmv::core::KernelBackend entry_backend =
-        lbmv::core::kernel_backend();
+        workload_allocator);
+    const lbmv::core::CompBonusMechanism mm1_generic(
+        lbmv::testing::generic_path(mm1_allocator));
+    const lbmv::core::CompBonusMechanism workload_generic(
+        lbmv::testing::generic_path(workload_allocator));
     constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
                                                     /*pool=*/nullptr};
     JsonValue::Array nl_series;
@@ -1302,14 +1307,12 @@ int main(int argc, char** argv) {
       lbmv::core::MechanismOutcome generic_outcome;
       lbmv::core::MechanismOutcome fused_outcome;
 
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
       const double mm1_generic_secs = seconds_per_call(
           [&] {
-            mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
-                                   generic_outcome, ws, serial_round);
+            mm1_generic.run_into(mm1_family, mm1_rate, thetas, execs,
+                                 generic_outcome, ws, serial_round);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double mm1_fused_secs = seconds_per_call(
           [&] {
             mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
@@ -1320,15 +1323,13 @@ int main(int argc, char** argv) {
           mm1_max_err, outcome_max_rel_err(fused_outcome, generic_outcome));
 
       const double workload_rate = static_cast<double>(n);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
       const double workload_generic_secs = seconds_per_call(
           [&] {
-            workload_mechanism.run_into(workload_family, workload_rate,
-                                        thetas, execs, generic_outcome, ws,
-                                        serial_round);
+            workload_generic.run_into(workload_family, workload_rate, thetas,
+                                      execs, generic_outcome, ws,
+                                      serial_round);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double workload_fused_secs = seconds_per_call(
           [&] {
             workload_mechanism.run_into(workload_family, workload_rate,
@@ -1399,7 +1400,6 @@ int main(int argc, char** argv) {
                 << workload_speedup << "x, " << solve.iterations
                 << " Newton iters)\n";
     }
-    lbmv::core::set_kernel_backend(entry_backend);
 
     // Workload leave-one-out plane: the O(n d) Taylor-model solver vs the
     // exact per-agent Newton baseline above, same profile, same full-set
@@ -1489,9 +1489,9 @@ int main(int argc, char** argv) {
         static_cast<double>(std::thread::hardware_concurrency());
     nonlinear_round["threads_used"] = 1.0;  // both engines run agent-serial
     nonlinear_round["note"] =
-        "generic rows run the virtual-dispatch arena path (kScalar backend) "
-        "on the same MM1Allocator/WorkloadAllocator mechanisms as the fused "
-        "rows (kVectorized), so the ratio isolates the §14 fused engines; "
+        "generic rows run the virtual-dispatch arena path (the same "
+        "mechanisms over the GenericPath seam around MM1Allocator/"
+        "WorkloadAllocator), so the ratio isolates the §14 fused engines; "
         "narrow service-rate band keeps every computer active (profiles "
         "that drop computers take the generic path by design); "
         "newton_vs_bisection re-solves the workload KKT system with a "
