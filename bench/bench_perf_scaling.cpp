@@ -34,7 +34,6 @@
 #include "lbmv/sim/server.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
 #include "support/generic_path.h"
@@ -367,14 +366,14 @@ BENCHMARK(BM_DeviationGridScalar)
     ->Complexity();
 
 void BM_DeviationGridVector(benchmark::State& state) {
-  // The same sweep through GridEvaluator's 4-lane kernels, serial.
+  // The same sweep through DeviationEvaluator::best_response's 4-lane
+  // kernels.
   // Bit-identical argmax to the scalar scan by construction.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t grid_points = 1000;
   const lbmv::model::SystemConfig config(random_types(n, 13), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
   const lbmv::strategy::DeviationEvaluator evaluator(mechanism, config);
-  const lbmv::strategy::GridEvaluator grid_eval(evaluator);
   std::vector<std::vector<double>> grids(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double t = config.true_value(i);
@@ -386,7 +385,7 @@ void BM_DeviationGridVector(benchmark::State& state) {
     double sink = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sink +=
-          grid_eval.best_response(i, grids[i], config.true_value(i)).utility;
+          evaluator.best_response(i, grids[i], config.true_value(i)).utility;
     }
     benchmark::DoNotOptimize(sink);
   }

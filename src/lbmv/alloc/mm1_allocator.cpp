@@ -5,11 +5,25 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "lbmv/util/error.h"
 
 namespace lbmv::alloc {
+namespace {
+
+/// The typed diagnostic for a closed form that cancels: one computer so
+/// much faster than the rest that x = mu - c sqrt(mu) (or sum mu - R over
+/// the active set) keeps no significant digits.
+std::string unresolvable(std::size_t agent, std::size_t n) {
+  return "M/M/1 allocation is numerically unresolvable: one computer is so "
+         "much faster than the rest that x = mu - c sqrt(mu) cancels "
+         "catastrophically (agent " +
+         std::to_string(agent) + " of " + std::to_string(n) + ")";
+}
+
+}  // namespace
 
 Mm1Solve mm1_solve_into(std::span<const double> mus, double arrival_rate,
                         std::span<double> rates_out) {
@@ -45,7 +59,7 @@ Mm1Solve mm1_solve_into(std::span<const double> mus, double arrival_rate,
       sum_sqrt += std::sqrt(mus[order[k]]);
     }
     c = (sum_mu - arrival_rate) / sum_sqrt;
-    LBMV_ASSERT(c > 0.0, "active set lost the capacity to absorb the load");
+    LBMV_REQUIRE(c > 0.0, unresolvable(order[0], mus.size()));
     // Drop trailing computers whose load would be non-positive.
     std::size_t keep = active;
     while (keep > 1 && std::sqrt(mus[order[keep - 1]]) <= c) --keep;
@@ -57,8 +71,8 @@ Mm1Solve mm1_solve_into(std::span<const double> mus, double arrival_rate,
   for (std::size_t k = 0; k < active; ++k) {
     const std::size_t i = order[k];
     rates_out[i] = mus[i] - c * std::sqrt(mus[i]);
-    LBMV_ASSERT(rates_out[i] > 0.0 && rates_out[i] < mus[i],
-                "closed-form M/M/1 allocation left its feasible domain");
+    LBMV_REQUIRE(rates_out[i] > 0.0 && rates_out[i] < mus[i],
+                 unresolvable(i, mus.size()));
   }
 
   Mm1Solve solve;

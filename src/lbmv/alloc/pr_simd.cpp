@@ -9,12 +9,11 @@ namespace lbmv::alloc::simd {
 namespace v = lbmv::util::simd;
 using v::DVec;
 
-// Every kernel below walks its block in the same shape: 8-agent steps with
-// two independent accumulators (hiding the 4-cycle add latency), one
-// leftover full 4-vector folded into the first accumulator, the fixed
-// horizontal sum, then a scalar tail in index order.  The shape IS the
-// numeric contract — see the header — so keep the four loops structurally
-// in lock-step when editing.
+// The kernel walks its block in a fixed shape: 8-agent steps with two
+// independent accumulators (hiding the 4-cycle add latency), one leftover
+// full 4-vector folded into the first accumulator, the fixed horizontal
+// sum, then a scalar tail in index order.  The shape IS the numeric
+// contract — see the header.
 
 ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
                                       std::span<const double> executions,
@@ -72,55 +71,6 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
     weight += (executions[i] * r) * r;
   }
   return {partial, weight, bids_ok, execs_ok};
-}
-
-bool pr_leave_one_out_block(std::span<const double> inv, double inverse_sum,
-                            double arrival_rate, double min_gap,
-                            std::span<double> loo_out) {
-  const std::size_t n = inv.size();
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vgap = v::set1(min_gap);
-  const DVec vr2 = v::set1(r2);
-  bool ok = true;
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec denom = v::sub(vs, v::load(&inv[i]));
-    ok = ok && v::all_greater(denom, vgap);
-    v::store(&loo_out[i], v::div(vr2, denom));
-  }
-  for (; i < n; ++i) {
-    const double denom = inverse_sum - inv[i];
-    ok = ok && denom > min_gap;
-    loo_out[i] = r2 / denom;
-  }
-  return ok;
-}
-
-bool archer_tardos_tail_block(std::span<const double> bids,
-                              std::span<const double> inv, double inverse_sum,
-                              double arrival_rate,
-                              std::span<double> bonus_out) {
-  const std::size_t n = inv.size();
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vzero = v::zero();
-  const DVec vone = v::set1(1.0);
-  const DVec vr2 = v::set1(r2);
-  bool ok = true;
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec s = v::sub(vs, v::load(&inv[i]));
-    ok = ok && v::all_greater(s, vzero);
-    const DVec denom = v::mul(s, v::add(vone, v::mul(v::load(&bids[i]), s)));
-    v::store(&bonus_out[i], v::div(vr2, denom));
-  }
-  for (; i < n; ++i) {
-    const double s = inverse_sum - inv[i];
-    ok = ok && s > 0.0;
-    bonus_out[i] = r2 / (s * (1.0 + bids[i] * s));
-  }
-  return ok;
 }
 
 }  // namespace lbmv::alloc::simd

@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file pr_simd.h
-/// Vectorized block kernels for the PR closed forms (DESIGN.md §12).
+/// Vectorized reciprocal block kernel for the PR closed forms (DESIGN.md
+/// §12).  The per-agent leave-one-out and Archer–Tardos terms are computed
+/// in-register by the round engine's fused publish (core/rule_kernel.h).
 ///
-/// Each function processes one contiguous block of agents with the 4-lane
+/// The kernel processes one contiguous block of agents with the 4-lane
 /// vectors of util/simd.h and a *fixed* in-block reduction tree: two vector
 /// accumulators over 8-agent steps, one leftover full vector into the first
 /// accumulator, the fixed horizontal sum (l0+l1)+(l2+l3) of their lane-wise
@@ -13,11 +15,11 @@
 /// results for any fan-out by cutting agents into fixed-size blocks and
 /// reducing the returned partials in block order.
 ///
-/// Validation is by mask, not by throw: kernels report "every lane positive
-/// and finite" / "every denominator safe" flags and the caller re-runs the
-/// scalar validation loop on failure so the diagnostic (message, offending
-/// agent) is byte-identical to the generic path's.  NaNs fail the ordered
-/// compares and are flagged like non-positive values.
+/// Validation is by mask, not by throw: the kernel reports "every lane
+/// positive and finite" flags and the caller re-runs the scalar validation
+/// loop on failure so the diagnostic (message, offending agent) is
+/// byte-identical to the generic path's.  NaNs fail the ordered compares
+/// and are flagged like non-positive values.
 
 #include <cstddef>
 #include <span>
@@ -44,31 +46,5 @@ struct ReciprocalPartial {
 [[nodiscard]] ReciprocalPartial pr_reciprocal_block(
     std::span<const double> bids, std::span<const double> executions,
     std::span<double> inv_out);
-
-/// loo_out[i] = R^2 / (S - inv[i]) for the block.  Returns false when any
-/// denominator fails the cancellation guard (denom > min_gap, the scalar
-/// kernel's test); the caller then re-runs pr_leave_one_out_from_sum to
-/// throw the canonical diagnostic.  Elementwise this is the scalar formula
-/// on the same operands, so the plane matches the scalar kernel bit-for-bit
-/// at equal S.
-[[nodiscard]] bool pr_leave_one_out_block(std::span<const double> inv,
-                                          double inverse_sum,
-                                          double arrival_rate, double min_gap,
-                                          std::span<double> loo_out);
-
-/// Archer–Tardos payment tail for the block:
-///
-///   s_i        = S - inv[i]
-///   bonus_i    = R^2 / (s_i * (1 + b_i * s_i))
-///
-/// (the closed-form integral of archer_tardos_tail_integral, same operand
-/// order).  Returns false when any s_i fails the strict positivity the
-/// scalar kernel requires; the caller re-runs the scalar loop to throw its
-/// diagnostic.
-[[nodiscard]] bool archer_tardos_tail_block(std::span<const double> bids,
-                                            std::span<const double> inv,
-                                            double inverse_sum,
-                                            double arrival_rate,
-                                            std::span<double> bonus_out);
 
 }  // namespace lbmv::alloc::simd

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "lbmv/core/batch.h"
-#include "lbmv/core/grid_kernels.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/thread_pool.h"
@@ -44,16 +42,12 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
   // execution change, so the mechanism can freeze everything else once.
   // (The per-agent AgentUtilityContext is just this context bound to one
   // agent index; the audit holds the profile context directly so the grid
-  // sweep below can ride the lane-parallel kernels when the closed form is
-  // the linear/PR one.)
+  // sweep below can ride the context's grid sweeps.)
   const std::unique_ptr<ProfileUtilityContext> context =
       options.incremental
           ? mechanism_->make_profile_context(config.family(),
                                              config.arrival_rate(), base)
           : nullptr;
-  const auto* linear =
-      dynamic_cast<const LinearPrProfileContext*>(context.get());
-  const auto* mm1 = dynamic_cast<const Mm1PrProfileContext*>(context.get());
   auto evaluate = [&](double bid_mult, double exec_mult) {
     const double bid = truth * bid_mult;
     const double execution = truth * exec_mult;
@@ -80,13 +74,14 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
   obs::MechProbes::get().audit_evaluations.inc(
       static_cast<std::uint64_t>(nb * ne) + 1);
   std::vector<Deviation> grid(nb * ne);
-  if (linear != nullptr || mm1 != nullptr) {
-    // Lane-parallel path: one candidate-bid sweep per execution multiplier
-    // (bids vary along the row, four lanes per instruction), scattered back
-    // into the k = bm_idx * ne + em_idx layout so the best-scan below
-    // visits grid points in the legacy order — same utilities bit for bit,
-    // same tie-breaking.  The M/M/1 rows ride the §14 kernels; lanes off
-    // the all-active fast path defer to the context's own scalar oracle.
+  if (context != nullptr) {
+    // Context path: one candidate-bid sweep per execution multiplier (bids
+    // vary along the row — four lanes per instruction on the linear and
+    // M/M/1 contexts, whose lanes off the closed form defer to the
+    // context's own scalar oracle), scattered back into the
+    // k = bm_idx * ne + em_idx layout so the best-scan below visits grid
+    // points in the legacy order — same utilities bit for bit, same
+    // tie-breaking.
     std::vector<double> bid_row(nb);
     for (std::size_t j = 0; j < nb; ++j) {
       bid_row[j] = truth * options.bid_multipliers[j];
@@ -95,12 +90,8 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
     auto row = [&](std::size_t e) {
       const std::span<double> slot =
           std::span<double>(utilities).subspan(e * nb, nb);
-      const double execution = truth * options.exec_multipliers[e];
-      if (linear != nullptr) {
-        linear_pr_grid_utilities(*linear, agent, bid_row, execution, slot);
-      } else {
-        mm1_grid_utilities(*mm1, agent, bid_row, execution, slot);
-      }
+      context->grid_utilities_into(agent, bid_row,
+                                   truth * options.exec_multipliers[e], slot);
     };
     if (options.parallel && ne > 1) {
       util::ThreadPool::global().parallel_for(0, ne, row, /*grain=*/1);
@@ -121,11 +112,9 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
       grid[k] = Deviation{bm, em, evaluate(bm, em)};
     };
     if (options.parallel) {
-      // Grain-size control: incremental grid points are O(1), so chunk them
-      // coarsely to amortise task overhead; the legacy full-mechanism path
-      // is heavy enough that fine chunks load-balance better.
-      util::ThreadPool::global().parallel_for(0, grid.size(), body,
-                                              options.incremental ? 64 : 1);
+      // Every point is a full mechanism round, heavy enough that one-point
+      // chunks load-balance best.
+      util::ThreadPool::global().parallel_for(0, grid.size(), body, 1);
     } else {
       for (std::size_t k = 0; k < grid.size(); ++k) body(k);
     }

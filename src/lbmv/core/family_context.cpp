@@ -8,6 +8,8 @@
 
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
+#include "lbmv/core/grid_kernels.h"
+#include "lbmv/core/rule_kernel.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
@@ -66,9 +68,7 @@ void Mm1PrProfileContext::rebuild() {
   // Committed solve — raises the allocator's typed PreconditionErrors on
   // infeasible / near-saturated profiles, exactly when Mechanism::run would.
   rates_.resize(n);
-  const alloc::Mm1Solve solve =
-      alloc::mm1_solve_into(mus_, arrival_rate_, rates_);
-  reported_ = solve.optimal_latency;
+  (void)alloc::mm1_solve_into(mus_, arrival_rate_, rates_);
   actual_ = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double xj = rates_[j];
@@ -80,74 +80,108 @@ void Mm1PrProfileContext::rebuild() {
 
   // Leave-one-out plane: deviation-independent, so precomputed eagerly —
   // utility() stays mutation-free and safe to call concurrently.
-  if (rule_ != PaymentRule::kNoPayment) {
+  if (uses_leave_one_out(rule_)) {
     const alloc::MM1Allocator allocator;
     const model::MM1Family family;
     allocator.leave_one_out_into(family, profile_.bids, arrival_rate_, loo_);
   }
 }
 
-Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
-    std::size_t agent) const {
+struct Mm1PrProfileContext::Deviation {
+  double r;           ///< arrival rate
+  double rest_mu;     ///< sum_{j != agent} mu_j
+  double rest_a;      ///< sum_{j != agent} sqrt(mu_j)
+  double rest_min_a;  ///< min_{j != agent} sqrt(mu_j)
+  double loo;         ///< L_{-agent} (0 when the rule needs none)
+  double mu_e;        ///< 1 / execution
+  double nm1;         ///< n - 1
+  double nn;          ///< n
+  /// Every opponent executes exactly as bid — required for the O(1)
+  /// actual-latency form sum_{j != i} (a_j/c' - 1).
+  bool rest_consistent;
+};
+
+Mm1PrProfileContext::Deviation Mm1PrProfileContext::deviation(
+    std::size_t agent, double execution) const {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  SweepState st;
+  Deviation st;
+  st.r = arrival_rate_;
   st.rest_mu = sum_mu_ - mus_[agent];
   st.rest_a = sum_a_ - a_[agent];
   st.rest_min_a = agent == argmin_a_ ? second_a_ : min_a_;
-  st.loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
+  st.loo = uses_leave_one_out(rule_) ? loo_[agent] : 0.0;
+  st.mu_e = 1.0 / execution;
+  st.nm1 = static_cast<double>(profile_.size() - 1);
+  st.nn = static_cast<double>(profile_.size());
   st.rest_consistent =
       inconsistent_count_ == 0 ||
       (inconsistent_count_ == 1 && inconsistent_[agent] != 0);
   return st;
 }
 
+namespace {
+
+namespace v = lbmv::util::simd;
+
+/// The all-active fast path of a deviation to bid \p b (one candidate, or
+/// four per lane), with the lanes it covers: every computer active before
+/// and after the deviation, away from saturation, inside the execution
+/// domain.  With mu = 1/b, a = sqrt(mu) and c = (sum mu - R) / sum a, every
+/// active queue length is a_j/c - 1, so
+///
+///   x = mu - c a,  cost_e = x / (1/e - x),  comp = a/c - 1,
+///   actual = (rest_a/c - (n-1)) + cost_e,  reported = sum_a/c - n,
+///
+/// then rule_kernel.h's deviation_utility.
+template <PaymentRule kRule, typename T>
+LaneUtility<T> mm1_utility(const Mm1PrProfileContext::Deviation& st, T b) {
+  const T one = v::splat<T>(1.0);
+  const T zero = v::splat<T>(0.0);
+  const T mu = v::div(one, b);
+  const T a = v::sqrt(mu);
+  const T sum_mu = v::add(v::splat<T>(st.rest_mu), mu);
+  const T sum_a = v::add(v::splat<T>(st.rest_a), a);
+  const T slack = v::sub(sum_mu, v::splat<T>(st.r));
+  auto ok = v::mask_and(
+      v::mask_greater(v::splat<T>(std::numeric_limits<double>::infinity()),
+                      sum_mu),
+      v::mask_greater(slack, v::mul(v::splat<T>(alloc::kMm1MinRelativeSlack),
+                                    sum_mu)));
+  const T c = v::div(slack, sum_a);
+  ok = v::mask_and(ok, v::mask_greater(a, c));
+  ok = v::mask_and(ok, v::mask_greater(v::splat<T>(st.rest_min_a), c));
+  const T x = v::sub(mu, v::mul(c, a));
+  ok = v::mask_and(ok, v::mask_greater(x, zero));
+  const T de = v::sub(v::splat<T>(st.mu_e), x);
+  ok = v::mask_and(ok, v::mask_greater(de, zero));
+  const T cost_e = v::div(x, de);
+  const T comp = v::sub(v::div(a, c), one);
+  T actual = zero;
+  T reported = zero;
+  if constexpr (reads_actual_total(kRule)) {
+    actual = v::add(
+        v::sub(v::div(v::splat<T>(st.rest_a), c), v::splat<T>(st.nm1)),
+        cost_e);
+  }
+  if constexpr (reads_reported_total(kRule)) {
+    reported = v::sub(v::div(sum_a, c), v::splat<T>(st.nn));
+  }
+  return {deviation_utility<kRule>(comp, v::splat<T>(st.loo), cost_e, actual,
+                                   reported),
+          ok};
+}
+
+}  // namespace
+
 double Mm1PrProfileContext::utility(std::size_t agent, double bid,
                                     double execution) const {
   require_valid_inputs(bid, execution);
-  const SweepState st = sweep_state(agent);
-  const double mu_dev = 1.0 / bid;
-  const double a_dev = std::sqrt(mu_dev);
-  const double sum_mu = st.rest_mu + mu_dev;
-  const double sum_a = st.rest_a + a_dev;
-  const double slack = sum_mu - arrival_rate_;
-  // Fast path: every computer active before and after the deviation, away
-  // from saturation, rest profile consistent.  The grid kernels
-  // (grid_kernels.h) replicate this branch lane-wise in the same operand
-  // order; any lane failing its gates defers to this scalar oracle, which
-  // re-solves below and raises the canonical diagnostics.
-  if (st.rest_consistent && std::isfinite(sum_mu) &&
-      slack > alloc::kMm1MinRelativeSlack * sum_mu) {
-    const double c = slack / sum_a;
-    if (a_dev > c && st.rest_min_a > c) {
-      const double x = mu_dev - c * a_dev;
-      if (x > 0.0) {
-        const double mu_e = 1.0 / execution;
-        const double de = mu_e - x;
-        LBMV_REQUIRE(de > 0.0, "M/M/1 latency requires 0 <= x < mu");
-        const double cost_e = x / de;
-        const double nm1 = static_cast<double>(profile_.size() - 1);
-        const double actual = (st.rest_a / c - nm1) + cost_e;
-        switch (rule_) {
-          case PaymentRule::kCompBonusExecution:
-            // C = cost at execution basis cancels the valuation.
-            return st.loo - actual;
-          case PaymentRule::kCompBonusBid: {
-            const double comp = a_dev / c - 1.0;
-            return comp + (st.loo - actual) - cost_e;
-          }
-          case PaymentRule::kVcg: {
-            const double comp = a_dev / c - 1.0;
-            const double reported =
-                sum_a / c - static_cast<double>(profile_.size());
-            return (st.loo - (reported - comp)) - cost_e;
-          }
-          case PaymentRule::kNoPayment:
-            return -cost_e;
-          case PaymentRule::kArcherTardos:
-            break;  // rejected at construction
-        }
-      }
-    }
+  const Deviation st = deviation(agent, execution);
+  if (st.rest_consistent) {
+    const LaneUtility<double> u = dispatch_rule(rule_, [&](auto kind) {
+      return mm1_utility<decltype(kind)::value>(st, bid);
+    });
+    if (u.ok) return u.utility;
   }
   return slow_utility(agent, bid, execution);
 }
@@ -173,26 +207,47 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
     if (j == agent) cost_e = cost;
     actual += cost;
   }
-  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   const double x = rates[agent];
-  switch (rule_) {
-    case PaymentRule::kCompBonusExecution:
-      return loo - actual;
-    case PaymentRule::kCompBonusBid: {
-      const double comp = x / (mus[agent] - x);
-      return comp + (loo - actual) - cost_e;
-    }
-    case PaymentRule::kVcg: {
-      const double comp = x / (mus[agent] - x);
-      return (loo - (solve.optimal_latency - comp)) - cost_e;
-    }
-    case PaymentRule::kNoPayment:
-      return -cost_e;
-    case PaymentRule::kArcherTardos:
-      break;
-  }
-  LBMV_ASSERT(false, "unreachable payment rule");
-  return 0.0;
+  const double comp = x / (mus[agent] - x);
+  const double loo = uses_leave_one_out(rule_) ? loo_[agent] : 0.0;
+  return dispatch_rule(rule_, [&](auto kind) {
+    return deviation_utility<decltype(kind)::value>(comp, loo, cost_e, actual,
+                                                    solve.optimal_latency);
+  });
+}
+
+void Mm1PrProfileContext::sweep(std::size_t agent,
+                                std::span<const double> bids,
+                                double execution, double* out,
+                                GridBest* best) const {
+  require_grid_query(profile_.size(), agent, execution);
+  const Deviation st = deviation(agent, execution);
+  dispatch_rule(rule_, [&](auto kind) {
+    grid_sweep(
+        bids, out, best,
+        [&](v::DVec b) {
+          if (!st.rest_consistent) return LaneUtility<v::DVec>{v::zero(), v::zero()};
+          return mm1_utility<decltype(kind)::value>(st, b);
+        },
+        [&](double b) { return utility(agent, b, execution); });
+  });
+}
+
+void Mm1PrProfileContext::grid_utilities_into(std::size_t agent,
+                                              std::span<const double> bids,
+                                              double execution,
+                                              std::span<double> out) const {
+  LBMV_REQUIRE(out.size() >= bids.size(),
+               "output span must cover the candidate grid");
+  sweep(agent, bids, execution, out.data(), nullptr);
+}
+
+GridBest Mm1PrProfileContext::grid_best(std::size_t agent,
+                                        std::span<const double> bids,
+                                        double execution) const {
+  GridBest best;
+  sweep(agent, bids, execution, nullptr, &best);
+  return best;
 }
 
 void Mm1PrProfileContext::commit(std::size_t agent, double bid,
@@ -216,47 +271,6 @@ void Mm1PrProfileContext::commit_batch(std::span<const BidDelta> deltas) {
     profile_.executions[d.agent] = d.execution;
   }
   rebuild();
-}
-
-void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
-  const std::size_t n = profile_.size();
-  std::vector<double> rates = std::move(out.allocation).release();
-  rates.assign(rates_.begin(), rates_.end());
-  out.allocation = model::Allocation::from_validated(std::move(rates));
-  out.agents.resize(n);
-  out.actual_latency = actual_;
-  out.reported_latency = reported_;
-  for (std::size_t j = 0; j < n; ++j) {
-    AgentOutcome& ag = out.agents[j];
-    const double x = rates_[j];
-    ag.allocation = x;
-    const double cost_e = x / (mue_[j] - x);  // 0 for dropped computers
-    ag.valuation = -cost_e;
-    switch (rule_) {
-      case PaymentRule::kCompBonusExecution:
-        ag.compensation = cost_e;
-        ag.bonus = loo_[j] - actual_;
-        ag.payment = ag.compensation + ag.bonus;
-        break;
-      case PaymentRule::kCompBonusBid:
-        ag.compensation = x / (mus_[j] - x);
-        ag.bonus = loo_[j] - actual_;
-        ag.payment = ag.compensation + ag.bonus;
-        break;
-      case PaymentRule::kVcg:
-        ag.compensation = x / (mus_[j] - x);
-        ag.bonus = loo_[j] - reported_;
-        ag.payment = loo_[j] - (reported_ - ag.compensation);
-        break;
-      case PaymentRule::kNoPayment:
-      case PaymentRule::kArcherTardos:
-        ag.compensation = 0.0;
-        ag.bonus = 0.0;
-        ag.payment = 0.0;
-        break;
-    }
-    ag.utility = ag.payment + ag.valuation;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,18 +300,16 @@ void WorkloadProfileContext::rebuild() {
   rates_.resize(n);
   const alloc::WorkloadSolve solve =
       alloc::workload_solve_into(profile_.bids, gamma_, arrival_rate_, rates_);
-  lambda_ = solve.lambda;
-  reported_ = solve.optimal_latency;
   actual_ = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double x = rates_[j];
     actual_ += x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
   }
-  if (rule_ != PaymentRule::kNoPayment) {
+  if (uses_leave_one_out(rule_)) {
     loo_.resize(n);
     std::vector<double> scratch;
     alloc::workload_leave_one_out_into(profile_.bids, gamma_, arrival_rate_,
-                                       lambda_, loo_, scratch);
+                                       solve.lambda, loo_, scratch);
   }
 }
 
@@ -310,7 +322,7 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   // so a deviation re-runs the Newton solve against local planes (queries
   // may be concurrent).  The cold start is the solver's own 2R/S estimate:
   // a faster deviated bid would invalidate a warm start at the committed
-  // multiplier (g(lambda_) > 0 breaks the monotone-from-below contract).
+  // multiplier (g(lambda) > 0 breaks the monotone-from-below contract).
   std::vector<double> thetas(profile_.bids);
   thetas[agent] = bid;
   std::vector<double> x(n);
@@ -323,25 +335,12 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   }
   const double xa = x[agent];
   const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
-  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
-  switch (rule_) {
-    case PaymentRule::kCompBonusExecution:
-      return loo - actual;
-    case PaymentRule::kCompBonusBid: {
-      const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
-      return comp + (loo - actual) - cost_e;
-    }
-    case PaymentRule::kVcg: {
-      const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
-      return (loo - (solve.optimal_latency - comp)) - cost_e;
-    }
-    case PaymentRule::kNoPayment:
-      return -cost_e;
-    case PaymentRule::kArcherTardos:
-      break;
-  }
-  LBMV_ASSERT(false, "unreachable payment rule");
-  return 0.0;
+  const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
+  const double loo = uses_leave_one_out(rule_) ? loo_[agent] : 0.0;
+  return dispatch_rule(rule_, [&](auto kind) {
+    return deviation_utility<decltype(kind)::value>(comp, loo, cost_e, actual,
+                                                    solve.optimal_latency);
+  });
 }
 
 void WorkloadProfileContext::commit(std::size_t agent, double bid,
@@ -362,48 +361,6 @@ void WorkloadProfileContext::commit_batch(std::span<const BidDelta> deltas) {
     profile_.executions[d.agent] = d.execution;
   }
   rebuild();
-}
-
-void WorkloadProfileContext::outcome_into(MechanismOutcome& out) const {
-  const std::size_t n = profile_.size();
-  std::vector<double> rates = std::move(out.allocation).release();
-  rates.assign(rates_.begin(), rates_.end());
-  out.allocation = model::Allocation::from_validated(std::move(rates));
-  out.agents.resize(n);
-  out.actual_latency = actual_;
-  out.reported_latency = reported_;
-  for (std::size_t j = 0; j < n; ++j) {
-    AgentOutcome& ag = out.agents[j];
-    const double x = rates_[j];
-    ag.allocation = x;
-    const double cost_e =
-        x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
-    ag.valuation = -cost_e;
-    switch (rule_) {
-      case PaymentRule::kCompBonusExecution:
-        ag.compensation = cost_e;
-        ag.bonus = loo_[j] - actual_;
-        ag.payment = ag.compensation + ag.bonus;
-        break;
-      case PaymentRule::kCompBonusBid:
-        ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
-        ag.bonus = loo_[j] - actual_;
-        ag.payment = ag.compensation + ag.bonus;
-        break;
-      case PaymentRule::kVcg:
-        ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
-        ag.bonus = loo_[j] - reported_;
-        ag.payment = loo_[j] - (reported_ - ag.compensation);
-        break;
-      case PaymentRule::kNoPayment:
-      case PaymentRule::kArcherTardos:
-        ag.compensation = 0.0;
-        ag.bonus = 0.0;
-        ag.payment = 0.0;
-        break;
-    }
-    ag.utility = ag.payment + ag.valuation;
-  }
 }
 
 }  // namespace lbmv::core

@@ -21,11 +21,12 @@
 ///
 /// Mechanism::make_profile_context builds them when classify_round picks
 /// the M/M/1 or workload engine (never for Archer–Tardos, whose tail is
-/// linear-only).  Mm1PrProfileContext is exported so the lane-parallel
-/// deviation-grid kernels (grid_kernels.h) can read the cached
-/// rest-of-profile sums via sweep_state() and evaluate four candidate bids
-/// per instruction in utility()'s exact IEEE operand order; utility()
-/// itself stays the scalar oracle the differential suite holds them to.
+/// linear-only).  The M/M/1 fast path is one template over the lane type
+/// (family_context.cpp): utility() runs it on one candidate and the grid
+/// sweeps on four candidate bids per instruction, deferring any lane off
+/// the fast path to utility() itself, so a sweep is bit-identical to a
+/// scalar loop of utility() calls — including which deviations throw.  The
+/// workload context keeps the base class's scalar grid loops.
 
 #include <cstddef>
 #include <vector>
@@ -45,42 +46,35 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const override;
+  void grid_utilities_into(std::size_t agent, std::span<const double> bids,
+                           double execution,
+                           std::span<double> out) const override;
+  [[nodiscard]] GridBest grid_best(std::size_t agent,
+                                   std::span<const double> bids,
+                                   double execution) const override;
   void commit(std::size_t agent, double bid, double execution) override;
   /// k simultaneous commits, one O(n) re-derivation instead of k: the
   /// rebuild is a pure function of the committed planes, so writing every
   /// entry first and re-scanning once is state-identical to the sequential
   /// loop (whose intermediate rebuilds are discarded by the final one).
   void commit_batch(std::span<const BidDelta> deltas) override;
-  void outcome_into(MechanismOutcome& out) const override;
   [[nodiscard]] double actual_latency() const override { return actual_; }
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
 
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
-  [[nodiscard]] std::size_t size() const { return profile_.size(); }
-
-  /// Everything a candidate-bid sweep against one agent needs, O(1) from
-  /// the caches.  The grid kernels splat these into lanes; utility()'s
-  /// fast path reads the identical values, so lane results match the
-  /// scalar oracle bit for bit.
-  struct SweepState {
-    double rest_mu = 0.0;     ///< sum_{j != agent} mu_j
-    double rest_a = 0.0;      ///< sum_{j != agent} sqrt(mu_j)
-    double rest_min_a = 0.0;  ///< min_{j != agent} sqrt(mu_j)
-    double loo = 0.0;         ///< L_{-agent} (0 under kNoPayment)
-    /// Every opponent executes exactly as bid — required for the O(1)
-    /// actual-latency form sum_{j != i} (a_j/c' - 1).
-    bool rest_consistent = false;
-  };
-  [[nodiscard]] SweepState sweep_state(std::size_t agent) const;
+  /// The rest-of-profile state one (agent, execution) query reads, O(1)
+  /// from the caches; defined, built and read in family_context.cpp only.
+  struct Deviation;
 
  private:
+  [[nodiscard]] Deviation deviation(std::size_t agent, double execution) const;
   /// Full scalar re-solve for deviations off the all-active consistent
   /// fast path.  Allocates locally (concurrent queries stay safe).
   [[nodiscard]] double slow_utility(std::size_t agent, double bid,
                                     double execution) const;
+  void sweep(std::size_t agent, std::span<const double> bids,
+             double execution, double* out, GridBest* best) const;
   void rebuild();
 
   PaymentRule rule_;
@@ -99,7 +93,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   std::size_t argmin_a_ = 0;
   std::size_t inconsistent_count_ = 0;
   double actual_ = 0.0;
-  double reported_ = 0.0;
 };
 
 /// Workload-family deviation context: latency theta * x * (1 + gamma x),
@@ -117,15 +110,10 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
   /// k (see Mm1PrProfileContext::commit_batch for the state-identity
   /// argument — rebuild() reads nothing but the committed planes).
   void commit_batch(std::span<const BidDelta> deltas) override;
-  void outcome_into(MechanismOutcome& out) const override;
   [[nodiscard]] double actual_latency() const override { return actual_; }
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
-
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double gamma() const { return gamma_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
 
  private:
   void rebuild();
@@ -134,11 +122,9 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
   double gamma_;
   double arrival_rate_;
   model::BidProfile profile_;
-  double lambda_ = 0.0;        ///< committed KKT multiplier
   std::vector<double> rates_;  ///< committed allocation
   std::vector<double> loo_;    ///< L_{-j} (empty under kNoPayment)
   double actual_ = 0.0;
-  double reported_ = 0.0;
 };
 
 }  // namespace lbmv::core

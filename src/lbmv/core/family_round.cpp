@@ -3,11 +3,11 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <type_traits>
 
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/rule_kernel.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
@@ -17,20 +17,6 @@ namespace {
 
 namespace v = lbmv::util::simd;
 using v::DVec;
-
-// Same transposed publish as the linear engine: four AgentOutcome rows per
-// store_records6, so the struct must stay six packed doubles in field order.
-static_assert(sizeof(AgentOutcome) == 6 * sizeof(double),
-              "AgentOutcome must stay six packed doubles");
-static_assert(std::is_standard_layout_v<AgentOutcome>,
-              "AgentOutcome must stay standard-layout");
-static_assert(offsetof(AgentOutcome, allocation) == 0 &&
-                  offsetof(AgentOutcome, compensation) == 8 &&
-                  offsetof(AgentOutcome, bonus) == 16 &&
-                  offsetof(AgentOutcome, payment) == 24 &&
-                  offsetof(AgentOutcome, valuation) == 32 &&
-                  offsetof(AgentOutcome, utility) == 40,
-              "AgentOutcome field order is part of the publish contract");
 
 /// Publish pass for the all-active M/M/1 round.  Everything per agent is
 /// in-register off the mu / a / inv-exec / rate planes: the reported and
@@ -44,156 +30,63 @@ static_assert(offsetof(AgentOutcome, allocation) == 0 &&
 /// The caller has already proven every rest set all-active and every c_i
 /// safely positive, so no masks are needed here.
 template <PaymentRule kRule>
-void publish_mm1_block(std::size_t n, const double* mu, const double* a,
-                       const double* mue, const double* x, double sum_mu,
-                       double sum_a, double arrival_rate, double actual_total,
-                       double reported_total, AgentOutcome* agents) {
-  const DVec vone = v::set1(1.0);
-  const DVec vsmu = v::set1(sum_mu);
-  const DVec vsa = v::set1(sum_a);
-  const DVec vr = v::set1(arrival_rate);
-  const DVec vnm1 = v::set1(static_cast<double>(n - 1));
-  const DVec vact = v::set1(actual_total);
-  const DVec vrep = v::set1(reported_total);
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec vx = v::load(&x[i]);
-    const DVec vme = v::load(&mue[i]);
-    const DVec costa = v::mul(vx, v::div(vone, v::sub(vme, vx)));
-    DVec comp = v::zero();
-    DVec bonus = v::zero();
-    DVec pay = v::zero();
-    if constexpr (kRule != PaymentRule::kNoPayment) {
-      const DVec vmu = v::load(&mu[i]);
-      const DVec va = v::load(&a[i]);
-      const DVec rest_a = v::sub(vsa, va);
-      const DVec ci = v::div(v::sub(v::sub(vsmu, vmu), vr), rest_a);
-      const DVec loo = v::sub(v::div(rest_a, ci), vnm1);
-      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-        comp = costa;
-        bonus = v::sub(loo, vact);
-        pay = v::add(comp, bonus);
-      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-        comp = v::mul(vx, v::div(vone, v::sub(vmu, vx)));
-        bonus = v::sub(loo, vact);
-        pay = v::add(comp, bonus);
-      } else {
-        static_assert(kRule == PaymentRule::kVcg, "unsupported M/M/1 rule");
-        comp = v::mul(vx, v::div(vone, v::sub(vmu, vx)));
-        bonus = v::sub(loo, vrep);
-        pay = v::sub(loo, v::sub(vrep, comp));
-      }
-    }
-    const DVec val = v::neg(costa);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), vx, comp, bonus,
-                      pay, val, util);
-  }
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    const double costa = xi * (1.0 / (mue[i] - xi));
-    AgentOutcome& o = agents[i];
-    o.allocation = xi;
-    if constexpr (kRule == PaymentRule::kNoPayment) {
-      o.compensation = 0.0;
-      o.bonus = 0.0;
-      o.payment = 0.0;
-    } else {
-      const double rest_a = sum_a - a[i];
-      const double ci = ((sum_mu - mu[i]) - arrival_rate) / rest_a;
-      const double loo = rest_a / ci - static_cast<double>(n - 1);
-      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-        o.compensation = costa;
-        o.bonus = loo - actual_total;
-        o.payment = o.compensation + o.bonus;
-      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-        o.compensation = xi * (1.0 / (mu[i] - xi));
-        o.bonus = loo - actual_total;
-        o.payment = o.compensation + o.bonus;
-      } else {
-        o.compensation = xi * (1.0 / (mu[i] - xi));
-        o.bonus = loo - reported_total;
-        o.payment = loo - (reported_total - o.compensation);
-      }
-    }
-    o.valuation = -costa;
-    o.utility = o.payment + o.valuation;
-  }
+void publish_mm1(std::size_t n, const double* mu, const double* a,
+                 const double* mue, const double* x, double sum_mu,
+                 double sum_a, double arrival_rate, double actual_total,
+                 double reported_total, AgentOutcome* agents) {
+  const double nm1 = static_cast<double>(n - 1);
+  (void)publish_block<kRule>(
+      n, actual_total, reported_total, agents, [&](auto lane, std::size_t i) {
+        using T = decltype(lane);
+        const T one = v::splat<T>(1.0);
+        RuleTerms<T> t;
+        t.x = v::load_as<T>(x + i);
+        t.cost_e =
+            v::mul(t.x, v::div(one, v::sub(v::load_as<T>(mue + i), t.x)));
+        t.comp = kRule == PaymentRule::kCompBonusExecution
+                     ? t.cost_e
+                     : v::mul(t.x, v::div(one, v::sub(v::load_as<T>(mu + i),
+                                                      t.x)));
+        t.transfer = v::splat<T>(0.0);
+        if constexpr (uses_leave_one_out(kRule)) {
+          const T rest_a = v::sub(v::splat<T>(sum_a), v::load_as<T>(a + i));
+          const T ci = v::div(v::sub(v::sub(v::splat<T>(sum_mu),
+                                            v::load_as<T>(mu + i)),
+                                     v::splat<T>(arrival_rate)),
+                              rest_a);
+          t.transfer = v::sub(v::div(rest_a, ci), v::splat<T>(nm1));
+        }
+        return t;
+      });
 }
 
 /// Publish pass for the workload round: the reported and verified cost
 /// terms x * ((theta x) (1 + gamma x)) in WorkloadLatency's own operand
-/// order, the leave-one-out plane precomputed by the warm-started Newton
-/// solves.  \p loo may be null for kNoPayment only.
+/// order, the leave-one-out plane precomputed by the Taylor-model solver.
+/// \p loo may be null for kNoPayment only.
 template <PaymentRule kRule>
-void publish_workload_block(std::size_t n, const double* bids,
-                            const double* execs, const double* x,
-                            const double* loo, double gamma,
-                            double actual_total, double reported_total,
-                            AgentOutcome* agents) {
-  const DVec vone = v::set1(1.0);
-  const DVec vg = v::set1(gamma);
-  const DVec vact = v::set1(actual_total);
-  const DVec vrep = v::set1(reported_total);
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec vx = v::load(&x[i]);
-    const DVec grow = v::add(vone, v::mul(vg, vx));
-    const DVec costa =
-        v::mul(vx, v::mul(v::mul(v::load(&execs[i]), vx), grow));
-    DVec comp = v::zero();
-    DVec bonus = v::zero();
-    DVec pay = v::zero();
-    if constexpr (kRule != PaymentRule::kNoPayment) {
-      const DVec vloo = v::load(&loo[i]);
-      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-        comp = costa;
-        bonus = v::sub(vloo, vact);
-        pay = v::add(comp, bonus);
-      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-        comp = v::mul(vx, v::mul(v::mul(v::load(&bids[i]), vx), grow));
-        bonus = v::sub(vloo, vact);
-        pay = v::add(comp, bonus);
-      } else {
-        static_assert(kRule == PaymentRule::kVcg, "unsupported workload rule");
-        comp = v::mul(vx, v::mul(v::mul(v::load(&bids[i]), vx), grow));
-        bonus = v::sub(vloo, vrep);
-        pay = v::sub(vloo, v::sub(vrep, comp));
-      }
-    }
-    const DVec val = v::neg(costa);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), vx, comp, bonus,
-                      pay, val, util);
-  }
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    const double grow = 1.0 + gamma * xi;
-    const double costa = xi * ((execs[i] * xi) * grow);
-    AgentOutcome& o = agents[i];
-    o.allocation = xi;
-    if constexpr (kRule == PaymentRule::kNoPayment) {
-      o.compensation = 0.0;
-      o.bonus = 0.0;
-      o.payment = 0.0;
-    } else {
-      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-        o.compensation = costa;
-        o.bonus = loo[i] - actual_total;
-        o.payment = o.compensation + o.bonus;
-      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-        o.compensation = xi * ((bids[i] * xi) * grow);
-        o.bonus = loo[i] - actual_total;
-        o.payment = o.compensation + o.bonus;
-      } else {
-        o.compensation = xi * ((bids[i] * xi) * grow);
-        o.bonus = loo[i] - reported_total;
-        o.payment = loo[i] - (reported_total - o.compensation);
-      }
-    }
-    o.valuation = -costa;
-    o.utility = o.payment + o.valuation;
-  }
+void publish_workload(std::size_t n, const double* bids, const double* execs,
+                      const double* x, const double* loo, double gamma,
+                      double actual_total, double reported_total,
+                      AgentOutcome* agents) {
+  (void)publish_block<kRule>(
+      n, actual_total, reported_total, agents, [&](auto lane, std::size_t i) {
+        using T = decltype(lane);
+        RuleTerms<T> t;
+        t.x = v::load_as<T>(x + i);
+        const T grow =
+            v::add(v::splat<T>(1.0), v::mul(v::splat<T>(gamma), t.x));
+        const auto cost = [&](const double* types) {
+          return v::mul(t.x,
+                        v::mul(v::mul(v::load_as<T>(types + i), t.x), grow));
+        };
+        t.cost_e = cost(execs);
+        t.comp = kRule == PaymentRule::kCompBonusExecution ? t.cost_e
+                                                           : cost(bids);
+        t.transfer = uses_leave_one_out(kRule) ? v::load_as<T>(loo + i)
+                                               : v::splat<T>(0.0);
+        return t;
+      });
 }
 
 }  // namespace
@@ -311,8 +204,7 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
   }
   const double c = (sum_mu - arrival_rate) / sum_a;
   if (!(min_a > c)) return false;
-  const bool needs_loo = rule != PaymentRule::kNoPayment;
-  if (needs_loo) {
+  if (uses_leave_one_out(rule)) {
     for (std::size_t j = 0; j < n; ++j) {
       const double rest_mu = sum_mu - mu[j];
       const double slack = rest_mu - arrival_rate;
@@ -396,29 +288,11 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
 
   // ---- P3: fused payments + transposed AoS publish -----------------------
   out.agents.resize(n);
-  AgentOutcome* const agents = out.agents.data();
-  switch (rule) {
-    case PaymentRule::kCompBonusExecution:
-      publish_mm1_block<PaymentRule::kCompBonusExecution>(
-          n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
-          reported_total, agents);
-      break;
-    case PaymentRule::kCompBonusBid:
-      publish_mm1_block<PaymentRule::kCompBonusBid>(
-          n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
-          reported_total, agents);
-      break;
-    case PaymentRule::kVcg:
-      publish_mm1_block<PaymentRule::kVcg>(n, mu, a, mue, x, sum_mu, sum_a,
-                                           arrival_rate, actual_total,
-                                           reported_total, agents);
-      break;
-    default:
-      publish_mm1_block<PaymentRule::kNoPayment>(
-          n, mu, a, mue, x, sum_mu, sum_a, arrival_rate, actual_total,
-          reported_total, agents);
-      break;
-  }
+  dispatch_rule(rule, [&](auto kind) {
+    publish_mm1<decltype(kind)::value>(n, mu, a, mue, x, sum_mu, sum_a,
+                                       arrival_rate, actual_total,
+                                       reported_total, out.agents.data());
+  });
   out.allocation = model::Allocation::from_validated(std::move(rates));
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;
@@ -484,7 +358,7 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
   // Leave-one-out plane: the family's single O(n d) Taylor-model solver,
   // exact Newton only for the agents its error bound refuses.
   const double* loo = nullptr;
-  if (rule != PaymentRule::kNoPayment) {
+  if (uses_leave_one_out(rule)) {
     ws.leave_one_out.resize(n);
     const alloc::WorkloadLooStats loo_stats =
         alloc::workload_leave_one_out_into(bids, gamma, arrival_rate,
@@ -496,30 +370,11 @@ FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
   }
 
   out.agents.resize(n);
-  AgentOutcome* const agents = out.agents.data();
-  switch (rule) {
-    case PaymentRule::kCompBonusExecution:
-      publish_workload_block<PaymentRule::kCompBonusExecution>(
-          n, bids.data(), executions.data(), x, loo, gamma, actual_total,
-          reported_total, agents);
-      break;
-    case PaymentRule::kCompBonusBid:
-      publish_workload_block<PaymentRule::kCompBonusBid>(
-          n, bids.data(), executions.data(), x, loo, gamma, actual_total,
-          reported_total, agents);
-      break;
-    case PaymentRule::kVcg:
-      publish_workload_block<PaymentRule::kVcg>(n, bids.data(),
-                                                executions.data(), x, loo,
-                                                gamma, actual_total,
-                                                reported_total, agents);
-      break;
-    default:
-      publish_workload_block<PaymentRule::kNoPayment>(
-          n, bids.data(), executions.data(), x, loo, gamma, actual_total,
-          reported_total, agents);
-      break;
-  }
+  dispatch_rule(rule, [&](auto kind) {
+    publish_workload<decltype(kind)::value>(
+        n, bids.data(), executions.data(), x, loo, gamma, actual_total,
+        reported_total, out.agents.data());
+  });
   out.allocation = model::Allocation::from_validated(std::move(rates));
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;

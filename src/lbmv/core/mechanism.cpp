@@ -70,6 +70,29 @@ EngineKind classify_round(const model::LatencyFamily& family,
   return EngineKind::kGeneric;
 }
 
+void ProfileUtilityContext::grid_utilities_into(std::size_t agent,
+                                                std::span<const double> bids,
+                                                double execution,
+                                                std::span<double> out) const {
+  LBMV_REQUIRE(out.size() >= bids.size(),
+               "output span must cover the candidate grid");
+  for (std::size_t k = 0; k < bids.size(); ++k) {
+    out[k] = utility(agent, bids[k], execution);
+  }
+}
+
+GridBest ProfileUtilityContext::grid_best(std::size_t agent,
+                                          std::span<const double> bids,
+                                          double execution) const {
+  LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
+  GridBest best{0, utility(agent, bids[0], execution)};
+  for (std::size_t k = 1; k < bids.size(); ++k) {
+    const double u = utility(agent, bids[k], execution);
+    if (u > best.utility) best = GridBest{k, u};
+  }
+  return best;
+}
+
 Mechanism::Mechanism(std::shared_ptr<const alloc::Allocator> allocator)
     : allocator_(std::move(allocator)) {
   LBMV_REQUIRE(allocator_ != nullptr, "mechanism requires an allocator");

@@ -36,11 +36,11 @@ struct BatchOutcomes;    // batch.h
 struct BatchRunOptions;  // batch.h
 struct RoundOptions;     // batch.h
 
-/// The payment rule a mechanism applies, in the closed form every exact
-/// engine implements: the fused rounds (simd_round.h, family_round.h), the
-/// profile contexts (profile_context.h, family_context.h) and the grid
-/// kernels (grid_kernels.h).  Each mechanism names its rule through
-/// Mechanism::payment_rule().
+/// The payment rule a mechanism applies.  Its closed form is written once,
+/// in rule_kernel.h, and instantiated by every exact engine: the fused
+/// rounds (simd_round.h, family_round.h), the profile contexts
+/// (profile_context.h, family_context.h) and their grid sweeps.  Each
+/// mechanism names its rule through Mechanism::payment_rule().
 enum class PaymentRule {
   kCompBonusExecution,  ///< C_i = t~_i x_i^2, B_i = L_{-i} - L(x, t~)
   kCompBonusBid,        ///< C_i = b_i  x_i^2, B_i = L_{-i} - L(x, t~)
@@ -125,20 +125,27 @@ struct BidDelta {
   double execution = 0.0;
 };
 
+/// Winning candidate of a deviation-grid sweep.
+struct GridBest {
+  std::size_t index = 0;  ///< first index attaining the maximum utility
+  double utility = 0.0;   ///< the maximum utility
+};
+
 /// Strategy fast path: the utility of *any* agent under a unilateral
 /// deviation from a committed base profile, plus an O(1) way to make a
 /// deviation permanent.  Built by Mechanism::make_profile_context once per
 /// profile; the strategy layers (best response, learning, tournaments,
 /// leader-commitment games) then evaluate O(n * grid) deviations at O(1)
-/// each instead of re-running the full mechanism per grid point.
+/// each instead of re-running the full mechanism per grid point.  The full
+/// outcome at the committed profile is the mechanism's own round
+/// (strategy::DeviationEvaluator::outcome_into runs it), not the context's.
 ///
 /// Contract:
-///   * utility() must be safe to call concurrently (pure reads);
+///   * utility() and the grid sweeps must be safe to call concurrently
+///     (pure reads);
 ///   * commit() permanently moves one agent to (bid, execution) — O(1)
 ///     amortised for closed-form implementations — and is NOT safe to call
-///     concurrently with utility();
-///   * outcome_into() reconstructs the full MechanismOutcome at the
-///     committed profile, agreeing with Mechanism::run to roundoff.
+///     concurrently with utility().
 class ProfileUtilityContext {
  public:
   virtual ~ProfileUtilityContext() = default;
@@ -148,6 +155,22 @@ class ProfileUtilityContext {
   /// finite (require_valid_inputs).
   [[nodiscard]] virtual double utility(std::size_t agent, double bid,
                                        double execution) const = 0;
+
+  /// out[k] = utility(agent, bids[k], execution) for every k; \p out must
+  /// be at least bids.size() long.  The default loops utility(); contexts
+  /// with a lane form of their utility sweep four candidates per
+  /// instruction (core/grid_kernels.h) with bit-identical results.
+  virtual void grid_utilities_into(std::size_t agent,
+                                   std::span<const double> bids,
+                                   double execution,
+                                   std::span<double> out) const;
+
+  /// The utility-maximising candidate of a non-empty grid, ties to the
+  /// smallest index — a strictly-greater first-wins scan in index order.
+  /// Same default and overrides as grid_utilities_into.
+  [[nodiscard]] virtual GridBest grid_best(std::size_t agent,
+                                           std::span<const double> bids,
+                                           double execution) const;
 
   /// Make a deviation permanent: agent now bids \p bid and executes at
   /// \p execution for all subsequent queries.
@@ -163,10 +186,6 @@ class ProfileUtilityContext {
   virtual void commit_batch(std::span<const BidDelta> deltas) {
     for (const BidDelta& d : deltas) commit(d.agent, d.bid, d.execution);
   }
-
-  /// Full mechanism outcome at the committed profile, filled into \p out
-  /// (reusing its capacity where possible).
-  virtual void outcome_into(MechanismOutcome& out) const = 0;
 
   /// L(x(b), t~) at the committed profile.
   [[nodiscard]] virtual double actual_latency() const = 0;

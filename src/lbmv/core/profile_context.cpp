@@ -2,13 +2,86 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <string>
 
-#include "lbmv/core/archer_tardos.h"
+#include "lbmv/core/grid_kernels.h"
+#include "lbmv/core/rule_kernel.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
+namespace {
+
+namespace v = lbmv::util::simd;
+
+/// The lane-constant part of one (agent, execution) deviation query, O(1)
+/// from the cached sums.
+struct LinearDeviation {
+  double r;          ///< arrival rate
+  double rr;         ///< r * r
+  double s_rest;     ///< S - 1/b_i
+  double l_rest;     ///< r * r / s_rest = L_{-i}
+  double w_rest;     ///< W - t~_i / b_i^2
+  double execution;  ///< the deviation's execution value
+};
+
+/// The deviation state of the committed agent (old_bid, old_execution)
+/// moving to \p execution, against the cached sums \p s and \p w.
+LinearDeviation deviation_state(double arrival_rate, double s, double w,
+                                double old_bid, double old_execution,
+                                double execution) {
+  LinearDeviation st;
+  st.r = arrival_rate;
+  st.rr = st.r * st.r;
+  const double old_inv = 1.0 / old_bid;
+  st.s_rest = s - old_inv;
+  st.l_rest = st.rr / st.s_rest;
+  st.w_rest = w - old_execution * old_inv * old_inv;
+  st.execution = execution;
+  return st;
+}
+
+/// Utility of deviating to bid \p b (one candidate, or four per lane),
+/// with the lanes whose utility came out finite.  With
+/// S' = s_rest + 1/b and x = R (1/b) / S':
+///
+///   cost_e = e x^2, comp = b x^2, actual = (R/S')^2 (w_rest + e/b^2),
+///   reported = R^2/S', transfer = L_{-i} or the Archer–Tardos tail
+///   R^2 / (s_rest (1 + b s_rest)),
+///
+/// then rule_kernel.h's deviation_utility.
+template <PaymentRule kRule, typename T>
+LaneUtility<T> linear_utility(const LinearDeviation& st, T b) {
+  const T one = v::splat<T>(1.0);
+  const T inv = v::div(one, b);
+  const T s = v::add(v::splat<T>(st.s_rest), inv);
+  const T x = v::div(v::mul(v::splat<T>(st.r), inv), s);
+  const T x2 = v::mul(x, x);
+  const T e = v::splat<T>(st.execution);
+  const T cost_e = v::mul(e, x2);
+  const T comp = v::mul(b, x2);
+  T transfer = v::splat<T>(st.l_rest);
+  T actual = v::splat<T>(0.0);
+  T reported = v::splat<T>(0.0);
+  if constexpr (reads_actual_total(kRule)) {
+    const T w = v::add(v::splat<T>(st.w_rest), v::mul(v::mul(e, inv), inv));
+    const T rs = v::div(v::splat<T>(st.r), s);
+    actual = v::mul(v::mul(rs, rs), w);
+  }
+  if constexpr (reads_reported_total(kRule)) {
+    reported = v::div(v::splat<T>(st.rr), s);
+  }
+  if constexpr (kRule == PaymentRule::kArcherTardos) {
+    const T s_rest = v::splat<T>(st.s_rest);
+    transfer = v::div(v::splat<T>(st.rr),
+                      v::mul(s_rest, v::add(one, v::mul(b, s_rest))));
+  }
+  const T u = deviation_utility<kRule>(comp, transfer, cost_e, actual,
+                                       reported);
+  return {u, v::mask_finite(u)};
+}
+
+}  // namespace
 
 LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
                                                double arrival_rate,
@@ -26,41 +99,49 @@ double LinearPrProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
   LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
   require_valid_inputs(bid, execution);
-  const double r = arrival_rate_;
-  const double old_inv = 1.0 / profile_.bids[agent];
-  const double s_rest = s_ - old_inv;
-  const double inv = 1.0 / bid;
-  const double s = s_rest + inv;
-  const double x = r * inv / s;
-  const double x2 = x * x;
-  switch (rule_) {
-    case PaymentRule::kCompBonusExecution:
-      // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
-      return r * r / s_rest - actual_after(agent, s, inv, execution);
-    case PaymentRule::kCompBonusBid:
-      return bid * x2 + (r * r / s_rest -
-                         actual_after(agent, s, inv, execution)) -
-             execution * x2;
-    case PaymentRule::kVcg: {
-      // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
-      // (R/S')^2 S_rest, so the Clarke payment is
-      // L_{-i} - (R^2/S' - b x^2).
-      const double payment = r * r / s_rest - r * r / s + bid * x2;
-      return payment - execution * x2;
-    }
-    case PaymentRule::kNoPayment:
-      return -execution * x2;
-    case PaymentRule::kArcherTardos: {
-      // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
-      // on s_rest, so truth-telling in bids is dominant but slow execution
-      // (e > t) goes unpunished — the verification-free baseline.
-      const double payment =
-          bid * x2 + r * r / (s_rest * (1.0 + bid * s_rest));
-      return payment - execution * x2;
-    }
-  }
-  LBMV_ASSERT(false, "unreachable payment rule");
-  return 0.0;  // unreachable
+  const LinearDeviation st =
+      deviation_state(arrival_rate_, s_, w_, profile_.bids[agent],
+                      profile_.executions[agent], execution);
+  const LaneUtility<double> u = dispatch_rule(rule_, [&](auto kind) {
+    return linear_utility<decltype(kind)::value>(st, bid);
+  });
+  LBMV_REQUIRE(u.ok, "deviation utility is not finite: the bid is beyond "
+                     "what the closed form resolves (agent " +
+                         std::to_string(agent) + " of " +
+                         std::to_string(profile_.size()) + ")");
+  return u.utility;
+}
+
+void LinearPrProfileContext::sweep(std::size_t agent,
+                                   std::span<const double> bids,
+                                   double execution, double* out,
+                                   GridBest* best) const {
+  require_grid_query(profile_.size(), agent, execution);
+  const LinearDeviation st =
+      deviation_state(arrival_rate_, s_, w_, profile_.bids[agent],
+                      profile_.executions[agent], execution);
+  dispatch_rule(rule_, [&](auto kind) {
+    grid_sweep(
+        bids, out, best,
+        [&](v::DVec b) { return linear_utility<decltype(kind)::value>(st, b); },
+        [&](double b) { return utility(agent, b, execution); });
+  });
+}
+
+void LinearPrProfileContext::grid_utilities_into(
+    std::size_t agent, std::span<const double> bids, double execution,
+    std::span<double> out) const {
+  LBMV_REQUIRE(out.size() >= bids.size(),
+               "output span must cover the candidate grid");
+  sweep(agent, bids, execution, out.data(), nullptr);
+}
+
+GridBest LinearPrProfileContext::grid_best(std::size_t agent,
+                                           std::span<const double> bids,
+                                           double execution) const {
+  GridBest best;
+  sweep(agent, bids, execution, nullptr, &best);
+  return best;
 }
 
 void LinearPrProfileContext::commit(std::size_t agent, double bid,
@@ -76,72 +157,9 @@ void LinearPrProfileContext::commit(std::size_t agent, double bid,
   if (++commits_since_rebuild_ >= rebuild_period_) rebuild();
 }
 
-void LinearPrProfileContext::outcome_into(MechanismOutcome& out) const {
-  const std::size_t n = profile_.size();
-  const double r = arrival_rate_;
-  const double rs = r / s_;
-  const double actual = rs * rs * w_;
-  const double reported = r * r / s_;
-
-  std::vector<double> rates(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    rates[j] = rs / profile_.bids[j];
-  }
-  out.allocation = model::Allocation(std::move(rates));
-  out.actual_latency = actual;
-  out.reported_latency = reported;
-  out.agents.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    auto& agent = out.agents[j];
-    const double b = profile_.bids[j];
-    const double e = profile_.executions[j];
-    const double x = rs / b;
-    const double x2 = x * x;
-    const double l_minus = r * r / (s_ - 1.0 / b);
-    agent.allocation = x;
-    agent.valuation = -e * x2;
-    switch (rule_) {
-      case PaymentRule::kCompBonusExecution:
-        agent.compensation = e * x2;
-        agent.bonus = l_minus - actual;
-        break;
-      case PaymentRule::kCompBonusBid:
-        agent.compensation = b * x2;
-        agent.bonus = l_minus - actual;
-        break;
-      case PaymentRule::kVcg:
-        agent.compensation = b * x2;  // own reported cost
-        agent.bonus = l_minus - reported;
-        break;
-      case PaymentRule::kNoPayment:
-        agent.compensation = 0.0;
-        agent.bonus = 0.0;
-        break;
-      case PaymentRule::kArcherTardos:
-        agent.compensation = b * x2;
-        agent.bonus =
-            archer_tardos_tail_integral(b, s_ - 1.0 / b, r);
-        break;
-    }
-    agent.payment = agent.compensation + agent.bonus;
-    if (rule_ == PaymentRule::kNoPayment) agent.payment = 0.0;
-    agent.utility = agent.payment + agent.valuation;
-  }
-}
-
 double LinearPrProfileContext::actual_latency() const {
   const double rs = arrival_rate_ / s_;
   return rs * rs * w_;
-}
-
-double LinearPrProfileContext::actual_after(std::size_t agent, double s,
-                                            double inv_bid,
-                                            double execution) const {
-  const double old_inv = 1.0 / profile_.bids[agent];
-  const double w = w_ - profile_.executions[agent] * old_inv * old_inv +
-                   execution * inv_bid * inv_bid;
-  const double rs = arrival_rate_ / s;
-  return rs * rs * w;
 }
 
 void LinearPrProfileContext::rebuild() {

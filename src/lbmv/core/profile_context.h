@@ -21,12 +21,10 @@
 /// Mechanism::make_profile_context builds it for all five payment rules
 /// (comp-bonus at either compensation basis, VCG, no-payment, and the
 /// Archer–Tardos baseline via its closed-form payment tail) whenever
-/// classify_round picks the linear-PR engine.
-///
-/// The concrete LinearPrProfileContext is exported so the lane-parallel
-/// deviation-grid kernels (grid_kernels.h, DESIGN.md §13) can read the
-/// cached sums and evaluate four candidate bids per instruction against the
-/// same frozen profile.
+/// classify_round picks the linear-PR engine.  Its deviation utility is one
+/// template over the lane type (profile_context.cpp): utility() runs it on
+/// one candidate, and the grid sweeps run it on four candidate bids per
+/// instruction, so the two agree bit for bit by construction.
 
 #include "lbmv/core/mechanism.h"
 #include "lbmv/model/bids.h"
@@ -41,9 +39,10 @@ namespace lbmv::core {
 /// stays far below the 1e-9 differential-test tolerance while the amortised
 /// commit cost stays O(1).
 ///
-/// The accessors (rule/arrival_rate/s/w) exist for the grid kernels, which
-/// replicate utility()'s exact IEEE operand order lane-wise; utility()
-/// itself stays the scalar oracle the differential suite holds them to.
+/// A deviation whose utility is not finite — a bid so small that
+/// (R/S')^2 W' underflows against an overflowing W' — raises a typed
+/// PreconditionError naming the agent, on utility() and on the grid sweeps
+/// alike.
 class LinearPrProfileContext final : public ProfileUtilityContext {
  public:
   LinearPrProfileContext(PaymentRule rule, double arrival_rate,
@@ -51,25 +50,21 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const override;
+  void grid_utilities_into(std::size_t agent, std::span<const double> bids,
+                           double execution,
+                           std::span<double> out) const override;
+  [[nodiscard]] GridBest grid_best(std::size_t agent,
+                                   std::span<const double> bids,
+                                   double execution) const override;
   void commit(std::size_t agent, double bid, double execution) override;
-  void outcome_into(MechanismOutcome& out) const override;
   [[nodiscard]] double actual_latency() const override;
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
 
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
-  /// Cached S = sum_j 1/b_j at the committed profile.
-  [[nodiscard]] double s() const { return s_; }
-  /// Cached W = sum_j t~_j / b_j^2 at the committed profile.
-  [[nodiscard]] double w() const { return w_; }
-
  private:
-  /// Verified total latency after agent i deviates: (R/S')^2 W' with
-  /// W' = W - t~_i/b_i^2 + e/b^2.
-  [[nodiscard]] double actual_after(std::size_t agent, double s,
-                                    double inv_bid, double execution) const;
+  void sweep(std::size_t agent, std::span<const double> bids,
+             double execution, double* out, GridBest* best) const;
   void rebuild();
 
   PaymentRule rule_;

@@ -5,12 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/pr_simd.h"
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/rule_kernel.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
@@ -20,22 +20,6 @@ namespace lbmv::core {
 namespace {
 
 namespace v = lbmv::util::simd;
-using v::DVec;
-
-// The fused publish below writes four AgentOutcome rows per transposed
-// vector store, so the struct must be exactly its six doubles in field
-// order (store_records6's record layout).
-static_assert(sizeof(AgentOutcome) == 6 * sizeof(double),
-              "AgentOutcome must stay six packed doubles");
-static_assert(std::is_standard_layout_v<AgentOutcome>,
-              "AgentOutcome must stay standard-layout");
-static_assert(offsetof(AgentOutcome, allocation) == 0 &&
-                  offsetof(AgentOutcome, compensation) == 8 &&
-                  offsetof(AgentOutcome, bonus) == 16 &&
-                  offsetof(AgentOutcome, payment) == 24 &&
-                  offsetof(AgentOutcome, valuation) == 32 &&
-                  offsetof(AgentOutcome, utility) == 40,
-              "AgentOutcome field order is part of the publish contract");
 
 /// Tasks to fan the block grid into.  Never affects results (fixed grid,
 /// block-order reduction) — only wall-clock.
@@ -106,240 +90,78 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
   pool.parallel_for(0, nblocks, body, grain);
 }
 
-// ---- fused allocate + rule + publish kernels -----------------------------
+// ---- fused allocate + rule + publish -------------------------------------
 //
 // One pass per block turns the reciprocal plane into everything the round
 // outputs: the rate x_i = inv_i / S * R (stored — it is the outcome's
-// allocation plane), the rule's cost and extra terms in-register, and the
-// six AgentOutcome fields through the transposed store.  No cost or
-// leave-one-out plane is ever materialized; per agent the pass reads
-// 16–24 bytes of planes and writes its 8-byte rate plus one 48-byte record.
+// allocation plane), the rule's terms in-register, and the six AgentOutcome
+// fields through rule_kernel.h's publish driver.  No cost or leave-one-out
+// plane is ever materialized; per agent the pass reads 16–24 bytes of
+// planes and writes its 8-byte rate plus one 48-byte record.
 //
 // The rate uses one precomputed reciprocal share, x = inv * (R/S), which
 // replaces the generic path's per-agent division (inv/S)*R — the round's
 // hottest divider work — at a cost of <= 2 ulp on x.  Every other value
 // applies exactly the generic fill_payments' operand order on that x —
-// ca = (e*x)*x, cr = (b*x)*x, loo = R^2/(S - inv) — so the leave-one-out /
-// tail terms still match the generic path bit-for-bit at equal S, while
-// x-derived values and the closed-form latency totals (see
-// run_linear_pr_vectorized) sit within the DESIGN.md §12 ulp bound.  The
-// <4-agent tail mirrors the vector body in scalar, in index order.
+// cost = (e*x)*x, comp = (b*x)*x (Archer–Tardos: b*(x*x)),
+// loo = R^2/(S - inv) — so the leave-one-out / tail terms still match the
+// generic path bit-for-bit at equal S, while x-derived values and the
+// closed-form latency totals (see run_linear_pr_vectorized) sit within the
+// DESIGN.md §12 ulp bound.
 //
-// Validation is by mask: bit 0 of the returned status is the rule guard
-// (leave-one-out cancellation gap / Archer–Tardos tail positivity), bit 1
-// is "every rate finite" (1/b can overflow to inf for subnormal bids, and
-// the generic path's Allocation constructor rejects that).  On a clear bit
-// the published lanes are garbage; the caller re-runs the scalar check and
-// throws its canonical diagnostic, discarding them.
-//
-// Rates are positive by construction (positive inv, S, R), so "finite" is
-// the single ordered compare x < inf, which NaN also fails.
-
-inline constexpr unsigned char kGuardOk = 1u;
-inline constexpr unsigned char kRatesFinite = 2u;
-
-/// Comp-bonus (both bases): comp = basis_i = (basis * x) * x with basis the
-/// execution value (verified cost) or the bid (reported cost), bonus =
-/// L_{-i} - L(x, e).  All pointers are offset to the block start.
-template <bool kExecBasis>
-[[nodiscard]] unsigned char publish_comp_bonus_block(
+// Validation is by mask: a block reports false unless every rate is finite
+// (1/b can overflow to inf for subnormal bids, and the generic path's
+// Allocation constructor rejects that) and every rule guard held
+// (leave-one-out cancellation gap / Archer–Tardos tail positivity).  On
+// false the published lanes are garbage; the caller re-runs the scalar
+// checks and throws their canonical diagnostic, discarding them.  Rates
+// are positive by construction (positive inv, S, R), so "finite" is the
+// single ordered compare x < inf, which NaN also fails.
+template <PaymentRule kRule>
+[[nodiscard]] bool publish_linear_block(
     std::size_t n, const double* inv, const double* bids, const double* execs,
     double inverse_sum, double share, double arrival_rate, double min_gap,
-    double actual_total, double* x_out, AgentOutcome* agents) {
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vgap = v::set1(min_gap);
-  const DVec vr2 = v::set1(r2);
-  const DVec vtotal = v::set1(actual_total);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  // Validity is AND-accumulated as lane masks and tested once per block:
-  // one uop per check per step instead of a movemask + branch chain.
-  DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
-    const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec ca = v::mul(v::mul(v::load(&execs[i]), x), x);
-    const DVec comp =
-        kExecBasis ? ca : v::mul(v::mul(v::load(&bids[i]), x), x);
-    const DVec denom = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
-    const DVec loo = v::div(vr2, denom);
-    const DVec bonus = v::sub(loo, vtotal);
-    const DVec pay = v::add(comp, bonus);
-    const DVec val = v::neg(ca);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double ca = (execs[i] * xi) * xi;
-    const double denom = inverse_sum - r;
-    gok = gok && denom > min_gap;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = kExecBasis ? ca : (bids[i] * xi) * xi;
-    a.bonus = r2 / denom - actual_total;
-    a.payment = a.compensation + a.bonus;
-    a.valuation = -ca;
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
-}
-
-/// VCG: comp = (b*x)*x, bonus = L_{-i} - L(x, b),
-/// payment = L_{-i} - (L(x, b) - comp).
-[[nodiscard]] unsigned char publish_vcg_block(
-    std::size_t n, const double* inv, const double* bids, const double* execs,
-    double inverse_sum, double share, double arrival_rate, double min_gap,
-    double reported_total, double* x_out, AgentOutcome* agents) {
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vgap = v::set1(min_gap);
-  const DVec vr2 = v::set1(r2);
-  const DVec vtotal = v::set1(reported_total);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
-    const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec ca = v::mul(v::mul(v::load(&execs[i]), x), x);
-    const DVec comp = v::mul(v::mul(v::load(&bids[i]), x), x);
-    const DVec denom = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
-    const DVec loo = v::div(vr2, denom);
-    const DVec bonus = v::sub(loo, vtotal);
-    const DVec pay = v::sub(loo, v::sub(vtotal, comp));
-    const DVec val = v::neg(ca);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double ca = (execs[i] * xi) * xi;
-    const double denom = inverse_sum - r;
-    gok = gok && denom > min_gap;
-    const double loo = r2 / denom;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = (bids[i] * xi) * xi;
-    a.bonus = loo - reported_total;
-    a.payment = loo - (reported_total - a.compensation);
-    a.valuation = -ca;
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
-}
-
-/// Archer–Tardos: comp = b * (x*x), bonus = R^2 / (s * (1 + b*s)) with
-/// s = S - inv (the closed form of archer_tardos_tail_integral).
-[[nodiscard]] unsigned char publish_archer_tardos_block(
-    std::size_t n, const double* inv, const double* bids, const double* execs,
-    double inverse_sum, double share, double arrival_rate, double* x_out,
+    double actual_total, double reported_total, double* x_out,
     AgentOutcome* agents) {
   const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vzero = v::zero();
-  const DVec vone = v::set1(1.0);
-  const DVec vr2 = v::set1(r2);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
-    const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec b = v::load(&bids[i]);
-    const DVec s = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(s, vzero));
-    const DVec bonus = v::div(vr2, v::mul(s, v::add(vone, v::mul(b, s))));
-    const DVec comp = v::mul(b, v::mul(x, x));
-    const DVec pay = v::add(comp, bonus);
-    const DVec val = v::neg(v::mul(v::mul(v::load(&execs[i]), x), x));
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double s = inverse_sum - r;
-    gok = gok && s > 0.0;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    const double work = xi * xi;
-    a.compensation = bids[i] * work;
-    a.bonus = r2 / (s * (1.0 + bids[i] * s));
-    a.payment = a.compensation + a.bonus;
-    a.valuation = -((execs[i] * xi) * xi);
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
-}
-
-/// No-payment baseline: all transfers zero, utility is the raw cost.
-[[nodiscard]] unsigned char publish_no_payment_block(
-    std::size_t n, const double* inv, const double* execs, double share,
-    double* x_out, AgentOutcome* agents) {
-  const DVec vshare = v::set1(share);
-  const DVec vzero = v::zero();
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec x = v::mul(v::load(&inv[i]), vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec val = v::neg(v::mul(v::mul(v::load(&execs[i]), x), x));
-    const DVec util = v::add(vzero, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, vzero, vzero,
-                      vzero, val, util);
-  }
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double xi = inv[i] * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = 0.0;
-    a.bonus = 0.0;
-    a.payment = 0.0;
-    a.valuation = -((execs[i] * xi) * xi);
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>(kGuardOk | (xok ? kRatesFinite : 0u));
+  return publish_block<kRule>(
+      n, actual_total, reported_total, agents, [&](auto lane, std::size_t i) {
+        using T = decltype(lane);
+        const T r = v::load_as<T>(inv + i);
+        const T x = v::mul(r, v::splat<T>(share));
+        v::store(x_out + i, x);
+        RuleTerms<T> t;
+        t.x = x;
+        t.ok = v::mask_greater(
+            v::splat<T>(std::numeric_limits<double>::infinity()), x);
+        t.cost_e = v::mul(v::mul(v::load_as<T>(execs + i), x), x);
+        t.comp = v::splat<T>(0.0);
+        t.transfer = v::splat<T>(0.0);
+        if constexpr (kRule == PaymentRule::kCompBonusExecution) {
+          t.comp = t.cost_e;
+        } else if constexpr (kRule == PaymentRule::kArcherTardos) {
+          t.comp = v::mul(v::load_as<T>(bids + i), v::mul(x, x));
+        } else if constexpr (kRule != PaymentRule::kNoPayment) {
+          t.comp = v::mul(v::mul(v::load_as<T>(bids + i), x), x);
+        }
+        if constexpr (uses_leave_one_out(kRule)) {
+          const T denom = v::sub(v::splat<T>(inverse_sum), r);
+          t.ok = v::mask_and(t.ok,
+                             v::mask_greater(denom, v::splat<T>(min_gap)));
+          t.transfer = v::div(v::splat<T>(r2), denom);
+        } else if constexpr (kRule == PaymentRule::kArcherTardos) {
+          // R^2 / (s (1 + b s)), s = S - inv: archer_tardos_tail_integral.
+          const T s_rest = v::sub(v::splat<T>(inverse_sum), r);
+          t.ok = v::mask_and(t.ok,
+                             v::mask_greater(s_rest, v::splat<T>(0.0)));
+          t.transfer = v::div(
+              v::splat<T>(r2),
+              v::mul(s_rest,
+                     v::add(v::splat<T>(1.0),
+                            v::mul(v::load_as<T>(bids + i), s_rest))));
+        }
+        return t;
+      });
 }
 
 }  // namespace
@@ -411,10 +233,7 @@ SimdRoundStats run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   const double reported_total = share * arrival_rate;
 
   // ---- P2: fused allocation + rule terms + transposed AoS publish --------
-  const bool needs_loo = rule == PaymentRule::kCompBonusExecution ||
-                         rule == PaymentRule::kCompBonusBid ||
-                         rule == PaymentRule::kVcg;
-  const bool needs_tail = rule == PaymentRule::kArcherTardos;
+  const bool needs_loo = uses_leave_one_out(rule);
   if (needs_loo && obs::enabled()) {
     obs::MechProbes& probes = obs::MechProbes::get();
     probes.loo_batches.inc();
@@ -431,68 +250,40 @@ SimdRoundStats run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   for_blocks(nblocks, shards, pool, [&](std::size_t b) {
     const std::size_t lo = b * kShardBlock;
     const std::size_t len = std::min(n - lo, kShardBlock);
-    unsigned char status = kGuardOk | kRatesFinite;
-    switch (rule) {
-      case PaymentRule::kCompBonusExecution:
-        status = publish_comp_bonus_block<true>(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
-            agents + lo);
-        break;
-      case PaymentRule::kCompBonusBid:
-        status = publish_comp_bonus_block<false>(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
-            agents + lo);
-        break;
-      case PaymentRule::kVcg:
-        status = publish_vcg_block(len, inv.data() + lo, bids.data() + lo,
-                                   executions.data() + lo, inverse_sum, share,
-                                   arrival_rate, min_gap, reported_total,
-                                   x + lo, agents + lo);
-        break;
-      case PaymentRule::kArcherTardos:
-        status = publish_archer_tardos_block(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, x + lo, agents + lo);
-        break;
-      case PaymentRule::kNoPayment:
-        status = publish_no_payment_block(len, inv.data() + lo,
-                                          executions.data() + lo, share,
-                                          x + lo, agents + lo);
-        break;
-    }
-    ws.block_ok[b] = status;
+    const bool ok = dispatch_rule(rule, [&](auto kind) {
+      return publish_linear_block<decltype(kind)::value>(
+          len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
+          inverse_sum, share, arrival_rate, min_gap, actual_total,
+          reported_total, x + lo, agents + lo);
+    });
+    ws.block_ok[b] = ok ? 1u : 0u;
   });
-  bool rates_finite = true;
-  bool guards_ok = true;
+  bool all_ok = true;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    rates_finite = rates_finite && (ws.block_ok[b] & kRatesFinite) != 0u;
-    guards_ok = guards_ok && (ws.block_ok[b] & kGuardOk) != 0u;
-  }
-  if (!rates_finite) {
-    // The checked constructor raises the generic path's diagnostic (it
-    // validates before any payment guard fires there too).
-    out.allocation = model::Allocation(std::move(rates));
-  } else {
-    out.allocation = model::Allocation::from_validated(std::move(rates));
+    all_ok = all_ok && ws.block_ok[b] != 0u;
   }
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;
-  if ((needs_loo || needs_tail) && !guards_ok) {
-    // Re-run the scalar guard on the same operands to raise the canonical
-    // diagnostic naming the first offending agent.
-    if (needs_loo) {
-      ws.leave_one_out.resize(n);
-      alloc::pr_leave_one_out_from_sum(inverse_sum, bids, arrival_rate,
-                                       ws.leave_one_out);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)archer_tardos_tail_integral(bids[i], inverse_sum - inv[i],
-                                          arrival_rate);
-      }
+  if (all_ok) {
+    out.allocation = model::Allocation::from_validated(std::move(rates));
+    return SimdRoundStats{shards};
+  }
+  // A rate or a rule guard failed.  The checked constructor raises the
+  // generic path's rate diagnostic first (it validates before any payment
+  // guard fires there too); otherwise the scalar guard, re-run on the same
+  // operands, names the first offending agent.
+  out.allocation = model::Allocation(std::move(rates));
+  if (needs_loo) {
+    ws.leave_one_out.resize(n);
+    alloc::pr_leave_one_out_from_sum(inverse_sum, bids, arrival_rate,
+                                     ws.leave_one_out);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      (void)archer_tardos_tail_integral(bids[i], inverse_sum - inv[i],
+                                        arrival_rate);
     }
   }
+  LBMV_ASSERT(false, "a failed round mask must raise a typed diagnostic");
   return SimdRoundStats{shards};
 }
 

@@ -51,7 +51,7 @@
 ///                                             skipped a full Mechanism::run
 ///     lbmv_strategy_commits_total             committed deviations
 ///     lbmv_strategy_grid_evals_total          candidate bids swept by
-///                                             strategy::GridEvaluator
+///                                             DeviationEvaluator grids
 ///     lbmv_strategy_grid_lanes_wasted_total   padded tail lanes the 4-lane
 ///                                             grid kernels evaluated
 ///
@@ -130,7 +130,8 @@ struct ProtocolProbes {
   static ProtocolProbes& get();
 };
 
-/// Strategy layer: DeviationEvaluator, GridEvaluator and best-response
+/// Strategy layer: DeviationEvaluator (queries and grid sweeps; the
+/// padded-lane count comes from the core grid driver) and best-response
 /// dynamics.
 struct StrategyProbes {
   Counter deviation_evals;

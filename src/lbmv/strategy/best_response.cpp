@@ -7,7 +7,6 @@
 #include "lbmv/obs/probes.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/roots.h"
 
@@ -50,9 +49,6 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
                                options.use_incremental
                                    ? DeviationEvaluator::Mode::kAuto
                                    : DeviationEvaluator::Mode::kNaive);
-  // One grid engine for the whole run: commits mutate the evaluator's
-  // context in place, so the lane kernels always see the current profile.
-  const GridEvaluator grid_eval(evaluator, options.pool);
   std::vector<double> bid_grid;
   std::vector<char> frozen(config.size(), 0);
   for (std::size_t i : options.frozen_agents) frozen[i] = 1;
@@ -86,7 +82,7 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
                                      : std::vector<double>{1.0};
       for (double em : exec_candidates) {
         const double exec = em * t;
-        const auto coarse = grid_eval.best_response(i, bid_grid, exec);
+        const auto coarse = evaluator.best_response(i, bid_grid, exec);
         const double coarse_bid = bid_grid[coarse.index];
         const auto refined = util::golden_section_min(
             [&](double bid) { return -evaluator.utility(i, bid, exec); },

@@ -20,10 +20,6 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
 
-namespace lbmv::util {
-class ThreadPool;
-}
-
 namespace lbmv::strategy {
 
 /// Tunables for the dynamics.
@@ -43,10 +39,6 @@ struct BestResponseOptions {
   /// the mechanism offers one; set false to force the naive re-run path
   /// (baseline measurements, differential tests).
   bool use_incremental = true;
-  /// Optional pool for fanning large candidate grids over threads (see
-  /// strategy::GridEvaluator).  The dynamics — grid argmax included — are
-  /// bit-identical with and without a pool, at any thread count.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Trace of one dynamics run.

@@ -1,5 +1,6 @@
 #include "lbmv/strategy/deviation.h"
 
+#include <chrono>
 #include <cstdint>
 #include <utility>
 
@@ -94,12 +95,62 @@ void DeviationEvaluator::commit_batch(
   }
 }
 
-void DeviationEvaluator::outcome_into(core::MechanismOutcome& out) const {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point sweep_start() {
+  return obs::enabled() ? Clock::now() : Clock::time_point{};
+}
+
+void note_sweep(std::size_t grid_size, Clock::time_point start) {
+  if (!obs::enabled()) return;
+  obs::StrategyProbes& probes = obs::StrategyProbes::get();
+  probes.grid_evals.inc(grid_size);
+  const std::chrono::duration<double> elapsed = Clock::now() - start;
+  probes.grid_round_seconds.record(elapsed.count());
+}
+
+}  // namespace
+
+void DeviationEvaluator::utilities_into(std::size_t agent,
+                                        std::span<const double> bids,
+                                        double execution,
+                                        std::span<double> out) const {
+  const Clock::time_point start = sweep_start();
   if (context_ != nullptr) {
-    context_->outcome_into(out);
-    return;
+    context_->grid_utilities_into(agent, bids, execution, out);
+  } else {
+    LBMV_REQUIRE(out.size() >= bids.size(),
+                 "output span must cover the candidate grid");
+    for (std::size_t k = 0; k < bids.size(); ++k) {
+      out[k] = utility(agent, bids[k], execution);
+    }
   }
-  mechanism_->run_into(*family_, arrival_rate_, profile_, out, ws_);
+  note_sweep(bids.size(), start);
+}
+
+core::GridBest DeviationEvaluator::best_response(std::size_t agent,
+                                                 std::span<const double> bids,
+                                                 double execution) const {
+  LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
+  const Clock::time_point start = sweep_start();
+  core::GridBest best;
+  if (context_ != nullptr) {
+    best = context_->grid_best(agent, bids, execution);
+  } else {
+    best.utility = utility(agent, bids[0], execution);
+    for (std::size_t k = 1; k < bids.size(); ++k) {
+      const double u = utility(agent, bids[k], execution);
+      if (u > best.utility) best = core::GridBest{k, u};
+    }
+  }
+  note_sweep(bids.size(), start);
+  return best;
+}
+
+void DeviationEvaluator::outcome_into(core::MechanismOutcome& out) const {
+  mechanism_->run_into(*family_, arrival_rate_, profile(), out, ws_);
 }
 
 double DeviationEvaluator::actual_latency() const {

@@ -13,11 +13,17 @@
 /// else.  commit() makes a deviation permanent with an O(1) delta to the
 /// cached sums instead of re-running the mechanism.
 ///
+/// Candidate-grid sweeps (utilities_into, best_response) ride the closed
+/// form's lane-parallel kernels where it has them (DESIGN.md §13) and loop
+/// utility() otherwise, with identical answers either way.
+///
 /// Best-response dynamics, bandit learning, tournaments and the leader-
 /// commitment game are all built on this one class; see DESIGN.md §10 for
 /// the complexity accounting.
 
+#include <cstddef>
 #include <memory>
+#include <span>
 
 #include "lbmv/core/batch.h"
 #include "lbmv/core/mechanism.h"
@@ -29,10 +35,10 @@ namespace lbmv::strategy {
 /// Per-profile deviation engine.  The mechanism must outlive the evaluator
 /// (the config's latency family is retained).
 ///
-/// Thread safety: utility() on the incremental path is pure reads and safe
-/// to call concurrently; the naive fallback mutates the shared scratch
-/// buffer and is not.  commit() is never safe to call concurrently with
-/// anything.
+/// Thread safety: utility() and the grid sweeps on the incremental path are
+/// pure reads and safe to call concurrently; the naive fallback and
+/// outcome_into() mutate the shared scratch buffers and are not.  commit()
+/// is never safe to call concurrently with anything.
 class DeviationEvaluator {
  public:
   enum class Mode {
@@ -67,9 +73,23 @@ class DeviationEvaluator {
   /// simultaneous-move round (learning dynamics) pays one rebuild.
   void commit_batch(std::span<const core::BidDelta> deltas);
 
-  /// Full mechanism outcome at the committed profile (equal to
-  /// mechanism.run(config, profile()) up to roundoff), reusing \p out's
-  /// storage.
+  /// out[k] = utility(agent, bids[k], execution) for every candidate bid;
+  /// \p out must be at least bids.size() long.  Obs: bumps
+  /// lbmv_strategy_grid_evals_total and records
+  /// lbmv_strategy_grid_round_seconds when recording is on.
+  void utilities_into(std::size_t agent, std::span<const double> bids,
+                      double execution, std::span<double> out) const;
+
+  /// The utility-maximising candidate of a non-empty grid, ties to the
+  /// smallest index — identical to a strictly-greater scalar scan of
+  /// utility() in index order.  Same probes as utilities_into.
+  [[nodiscard]] core::GridBest best_response(std::size_t agent,
+                                             std::span<const double> bids,
+                                             double execution) const;
+
+  /// Full mechanism outcome at the committed profile — one
+  /// Mechanism::run_into round on the evaluator's workspace — reusing
+  /// \p out's storage.
   void outcome_into(core::MechanismOutcome& out) const;
 
   /// L(x(b), t~) at the committed profile.
@@ -82,13 +102,6 @@ class DeviationEvaluator {
   /// full mechanism run on the scratch buffer).
   [[nodiscard]] bool incremental() const { return context_ != nullptr; }
 
-  /// The closed-form context backing the incremental path (nullptr on the
-  /// naive fallback).  strategy::GridEvaluator keys its lane-parallel sweep
-  /// path off the concrete type behind this pointer.
-  [[nodiscard]] const core::ProfileUtilityContext* profile_context() const {
-    return context_.get();
-  }
-
  private:
   const core::Mechanism* mechanism_;
   std::shared_ptr<const model::LatencyFamily> family_;  ///< keeps family alive
@@ -96,9 +109,9 @@ class DeviationEvaluator {
   std::unique_ptr<core::ProfileUtilityContext> context_;  ///< fast path
   model::BidProfile profile_;           ///< committed profile (fallback path)
   mutable model::BidProfile scratch_;   ///< fallback deviation buffer
-  /// Fallback round workspace: every full mechanism run on the naive path
-  /// reuses these planes (and ws_.scratch_outcome), so even the baseline is
-  /// allocation-free per query after warm-up.
+  /// Round workspace: every full mechanism run — each naive-path query and
+  /// each outcome_into — reuses these planes (and ws_.scratch_outcome), so
+  /// even the baseline is allocation-free per query after warm-up.
   mutable core::RoundWorkspace ws_;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "lbmv/strategy/deviation.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 
@@ -96,7 +95,6 @@ LearningResult run_learning(const core::Mechanism& mechanism,
   // committed to their chosen arm each round, so one evaluator serves the
   // whole run with no per-round profile construction.
   DeviationEvaluator evaluator(mechanism, config);
-  const GridEvaluator grid_eval(evaluator);  // full-feedback sweeps
   core::MechanismOutcome outcome;  // reused across rounds
 
   LearningResult result;
@@ -137,7 +135,7 @@ LearningResult run_learning(const core::Mechanism& mechanism,
           bid_row[b] = options.bid_arms[b] * t;
         }
         for (std::size_t e = 0; e < ne; ++e) {
-          grid_eval.utilities_into(i, bid_row, options.exec_arms[e] * t,
+          evaluator.utilities_into(i, bid_row, options.exec_arms[e] * t,
                                    util_row);
           for (std::size_t b = 0; b < nb; ++b) {
             learners[i].update(b * ne + e, util_row[b]);

@@ -40,9 +40,9 @@ struct LearningOptions {
   /// pulled arm with its realised utility, every arm's Q is updated each
   /// round with the agent's counterfactual deviation utility at that arm —
   /// one lane-parallel candidate-bid sweep per execution arm through
-  /// strategy::GridEvaluator, so the whole arm grid costs a handful of
-  /// 4-lane kernel calls rather than |arms| mechanism runs.  Convergence to
-  /// the dominant arm no longer depends on exploration luck.
+  /// DeviationEvaluator::utilities_into, so the whole arm grid costs a
+  /// handful of 4-lane kernel calls rather than |arms| mechanism runs.
+  /// Convergence to the dominant arm no longer depends on exploration luck.
   bool full_feedback = false;
 };
 

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #ifndef LBMV_SIMD
 #define LBMV_SIMD 0
@@ -320,12 +321,75 @@ inline void store_records6(double* dst, DVec f0, DVec f1, DVec f2, DVec f3,
   return (lane(a, 0) + lane(a, 1)) + (lane(a, 2) + lane(a, 3));
 }
 
-/// Lanes with 0 < a < inf: the round engines' input-validity test.  NaN
-/// fails both ordered compares.
-[[nodiscard]] inline DVec mask_positive_finite(DVec a) {
-  return mask_and(mask_greater(a, zero()),
-                  mask_greater(set1(std::numeric_limits<double>::infinity()),
-                               a));
+// ---- one-lane forms -------------------------------------------------------
+//
+// The same ops on a plain double, so a kernel written once as a template
+// over its lane type T compiles for T = DVec (four agents or candidates per
+// instruction) and T = double (one — the scalar tails and the scalar
+// oracles).  Each is the identical IEEE operation, so both instantiations
+// of one template produce the same bits per lane.  A one-lane mask is a
+// bool.
+
+[[nodiscard]] inline double add(double a, double b) { return a + b; }
+[[nodiscard]] inline double sub(double a, double b) { return a - b; }
+[[nodiscard]] inline double mul(double a, double b) { return a * b; }
+[[nodiscard]] inline double div(double a, double b) { return a / b; }
+[[nodiscard]] inline double neg(double a) { return -a; }
+[[nodiscard]] inline double sqrt(double a) { return std::sqrt(a); }
+[[nodiscard]] inline bool mask_greater(double a, double b) { return a > b; }
+[[nodiscard]] inline bool mask_and(bool a, bool b) { return a && b; }
+[[nodiscard]] inline bool mask_all_true(bool m) { return m; }
+inline void store(double* p, double a) { *p = a; }
+
+/// The lane mask type of T: DVec for DVec, bool for double.
+template <typename T>
+using Mask = decltype(mask_greater(T{}, T{}));
+
+/// \p x in every lane of a T.
+template <typename T>
+[[nodiscard]] inline T splat(double x) {
+  if constexpr (std::is_same_v<T, double>) {
+    return x;
+  } else {
+    return set1(x);
+  }
+}
+
+/// The T starting at \p p (one double, or four contiguous ones).
+template <typename T>
+[[nodiscard]] inline T load_as(const double* p) {
+  if constexpr (std::is_same_v<T, double>) {
+    return *p;
+  } else {
+    return load(p);
+  }
+}
+
+/// A mask of T with every lane set: the identity for mask_and.
+template <typename T>
+[[nodiscard]] inline Mask<T> all_lanes() {
+  if constexpr (std::is_same_v<T, double>) {
+    return true;
+  } else {
+    return mask_all();
+  }
+}
+
+/// Lanes with 0 < a < inf: the input-validity test of every round, context
+/// and grid sweep.  NaN fails both ordered compares.
+template <typename T>
+[[nodiscard]] inline Mask<T> mask_positive_finite(T a) {
+  return mask_and(
+      mask_greater(a, splat<T>(0.0)),
+      mask_greater(splat<T>(std::numeric_limits<double>::infinity()), a));
+}
+
+/// Lanes whose value is finite (neither infinity nor NaN).
+template <typename T>
+[[nodiscard]] inline Mask<T> mask_finite(T a) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return mask_and(mask_greater(splat<T>(kInf), a),
+                  mask_greater(a, splat<T>(-kInf)));
 }
 
 }  // namespace lbmv::util::simd

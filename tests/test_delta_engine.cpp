@@ -20,7 +20,6 @@
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/delta_engine.h"
-#include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/no_payment.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
@@ -362,24 +361,13 @@ TEST(Errors, InfiniteInputsRaiseTypedErrors) {
         std::vector<double> plane(grid.size());
         const std::string exec_message =
             "execution values must be positive and finite";
-        if (const auto* linear =
-                dynamic_cast<const lbmv::core::LinearPrProfileContext*>(
-                    context.get())) {
+        if (context != nullptr) {
           expect_throw(
-              [&] {
-                lbmv::core::linear_pr_grid_utilities(*linear, agent, grid,
-                                                     inf, plane);
-              },
-              exec_message, path + " linear grid");
-        }
-        if (const auto* mm1 =
-                dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
-                    context.get())) {
+              [&] { context->grid_utilities_into(agent, grid, inf, plane); },
+              exec_message, path + " grid");
           expect_throw(
-              [&] {
-                lbmv::core::mm1_grid_utilities(*mm1, agent, grid, inf, plane);
-              },
-              exec_message, path + " mm1 grid");
+              [&] { (void)context->grid_best(agent, grid, inf); },
+              exec_message, path + " grid best");
         }
       }
     }

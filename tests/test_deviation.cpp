@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lbmv/alloc/convex_allocator.h"
@@ -413,6 +414,38 @@ TEST(DeviationFallback, CommitsApplyToSubsequentQueries) {
 
 // ---------------------------------------------------------------------------
 // Argument validation.
+
+// Bids so small that the linear closed form cannot resolve them — at
+// 1e-300 (R/S')^2 W' underflows to 0 against an overflowing W', at 1e-310
+// 1/b itself overflows — must give a finite utility or the typed
+// PreconditionError naming the agent, for every rule: never NaN.  The
+// comp-bonus rules, whose utility reads that product, must refuse.
+TEST(DeviationValidation, ExtremeBidsAreFiniteOrTyped) {
+  const SystemConfig config({1.0, 2.0, 5.0}, 4.0);
+  std::vector<std::unique_ptr<Mechanism>> mechanisms;
+  for (int kind = 0; kind < 4; ++kind) {
+    mechanisms.push_back(make_mechanism(kind));
+  }
+  mechanisms.push_back(std::make_unique<lbmv::core::ArcherTardosMechanism>());
+  for (const auto& mechanism : mechanisms) {
+    const DeviationEvaluator evaluator(*mechanism, config);
+    ASSERT_TRUE(evaluator.incremental());
+    for (const double tiny : {1e-300, 1e-310}) {
+      const std::string what = mechanism->name() + " bid " +
+                               std::to_string(std::log10(tiny));
+      try {
+        const double u = evaluator.utility(0, tiny, 1.0);
+        EXPECT_TRUE(std::isfinite(u)) << what;
+        EXPECT_NE(mechanism->payment_rule(),
+                  lbmv::core::PaymentRule::kCompBonusExecution)
+            << what;
+      } catch (const lbmv::util::PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("agent 0"), std::string::npos)
+            << what << ": " << e.what();
+      }
+    }
+  }
+}
 
 TEST(DeviationValidation, RejectsBadConstructionAndQueries) {
   const SystemConfig config({1.0, 2.0, 5.0}, 12.0);

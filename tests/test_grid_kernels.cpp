@@ -1,13 +1,13 @@
-// Differential suite for the lane-parallel deviation-grid kernels
-// (core/grid_kernels.h, strategy::GridEvaluator, DESIGN.md §13).  The
-// vectorized sweeps must agree with the scalar DeviationEvaluator oracle to
-// 1e-9 (relative) — and, being a lane-exact replication of the same IEEE
-// expressions, bit for bit — across all five closed-form payment rules,
-// boundary bids at both edges of the search interval, every partial-block
-// remainder (grid sizes 1..9), AND-accumulated validity-mask semantics, and
-// first-index argmax tie-breaking.  Pool fan-out and best-response
-// trajectories must be bit-identical at 1, 2 and 8 threads.  The whole file
-// runs under both LBMV_SIMD=ON and =OFF CI legs.
+// Differential suite for the lane-parallel deviation-grid sweeps
+// (core/grid_kernels.h, DeviationEvaluator::utilities_into / best_response,
+// DESIGN.md §13).  The vectorized sweeps must agree with the scalar
+// DeviationEvaluator oracle to 1e-9 (relative) — and, being the same
+// template instantiated on four lanes, bit for bit — across all five
+// closed-form payment rules, boundary bids at both edges of the search
+// interval, every partial-block remainder (grid sizes 1..9),
+// AND-accumulated validity-mask semantics, bids too extreme for the closed
+// form (typed errors, never NaN), and first-index argmax tie-breaking.
+// The whole file runs under both LBMV_SIMD=ON and =OFF CI legs.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lbmv/core/archer_tardos.h"
@@ -29,13 +30,11 @@
 #include "lbmv/strategy/best_response.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
 #include "lbmv/strategy/tournament.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
-#include "lbmv/util/thread_pool.h"
 
 namespace {
 
@@ -50,7 +49,6 @@ using lbmv::core::VcgMechanism;
 using lbmv::model::BidProfile;
 using lbmv::model::SystemConfig;
 using lbmv::strategy::DeviationEvaluator;
-using lbmv::strategy::GridEvaluator;
 using lbmv::strategy::GridSpacing;
 using lbmv::strategy::make_bid_grid;
 using lbmv::strategy::make_bid_grid_into;
@@ -93,10 +91,15 @@ BidProfile random_profile(const SystemConfig& config, lbmv::util::Rng& rng) {
   return profile;
 }
 
-const LinearPrProfileContext* linear_context(
-    const DeviationEvaluator& evaluator) {
+/// Whether the mechanism's closed form on \p profile is the linear-PR
+/// context (the one whose grid overrides these tests exercise).
+bool linear_closed_form(const Mechanism& mechanism, const SystemConfig& config,
+                        const BidProfile& profile) {
   return dynamic_cast<const LinearPrProfileContext*>(
-      evaluator.profile_context());
+             mechanism
+                 .make_profile_context(config.family(), config.arrival_rate(),
+                                       profile)
+                 .get()) != nullptr;
 }
 
 void expect_rel_near(double actual, double expected, double rel_tol,
@@ -121,8 +124,8 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
     const DeviationEvaluator fast(*mechanism, config, profile);
     const DeviationEvaluator naive(*mechanism, config, profile,
                                    DeviationEvaluator::Mode::kNaive);
-    const auto* ctx = linear_context(fast);
-    ASSERT_NE(ctx, nullptr) << mechanism->name();
+    ASSERT_TRUE(linear_closed_form(*mechanism, config, profile))
+        << mechanism->name();
 
     for (std::size_t size = 1; size <= 9; ++size) {
       const auto i = static_cast<std::size_t>(
@@ -134,7 +137,7 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
         b = t * std::exp(rng.uniform(std::log(0.05), std::log(20.0)));
       }
       std::vector<double> out(size);
-      lbmv::core::linear_pr_grid_utilities(*ctx, i, bids, exec, out);
+      fast.utilities_into(i, bids, exec, out);
       for (std::size_t k = 0; k < size; ++k) {
         // Bit-exact against the scalar closed form...
         EXPECT_EQ(out[k], fast.utility(i, bids[k], exec))
@@ -153,15 +156,15 @@ TEST_P(GridKernelDifferential, BoundaryBidsMatchScalar) {
   const auto mechanism = make_mechanism(GetParam());
   const SystemConfig config(log_uniform_types(6, 11), 25.0);
   const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = linear_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
+  ASSERT_TRUE(linear_closed_form(*mechanism, config,
+                                 BidProfile::truthful(config)));
 
   for (std::size_t i = 0; i < config.size(); ++i) {
     const double t = config.true_value(i);
     const std::vector<double> bids = {1e-9 * t, 1e-4 * t, 0.05 * t, t,
                                       20.0 * t, 1e4 * t,  1e9 * t};
     std::vector<double> out(bids.size());
-    lbmv::core::linear_pr_grid_utilities(*ctx, i, bids, t, out);
+    evaluator.utilities_into(i, bids, t, out);
     for (std::size_t k = 0; k < bids.size(); ++k) {
       EXPECT_EQ(out[k], evaluator.utility(i, bids[k], t))
           << mechanism->name() << " agent=" << i << " k=" << k;
@@ -177,8 +180,6 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
   lbmv::util::Rng rng(4242);
   const SystemConfig config(log_uniform_types(5, 3), 30.0);
   const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = linear_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
 
   for (int trial = 0; trial < 16; ++trial) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(0, 4));
@@ -195,7 +196,7 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
       bids[k] = bids[rng.uniform_int(0, 1) != 0 ? 0 : k - 1];
     }
 
-    const GridBest best = lbmv::core::linear_pr_grid_best(*ctx, i, bids, exec);
+    const GridBest best = evaluator.best_response(i, bids, exec);
     std::size_t want_idx = 0;
     double want_u = evaluator.utility(i, bids[0], exec);
     for (std::size_t k = 1; k < size; ++k) {
@@ -220,8 +221,6 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
   const CompBonusMechanism mechanism;
   const SystemConfig config(log_uniform_types(4, 7), 20.0);
   const DeviationEvaluator evaluator(mechanism, config);
-  const auto* ctx = linear_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
 
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -233,21 +232,60 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
   };
   std::vector<double> out(8);
   for (const auto& bids : bad) {
-    EXPECT_THROW(lbmv::core::linear_pr_grid_utilities(*ctx, 0, bids, 1.0,
-                                                      out),
+    EXPECT_THROW(evaluator.utilities_into(0, bids, 1.0, out),
                  PreconditionError);
-    EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 0, bids, 1.0),
+    EXPECT_THROW((void)evaluator.best_response(0, bids, 1.0),
                  PreconditionError);
   }
   const std::vector<double> two = {1.0, 2.0};
-  EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 0, two, 0.0),
+  EXPECT_THROW((void)evaluator.best_response(0, two, 0.0),
                PreconditionError);
-  EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 9, two, 1.0),
+  EXPECT_THROW((void)evaluator.best_response(9, two, 1.0),
                PreconditionError);
+  EXPECT_THROW((void)evaluator.best_response(0, {}, 1.0), PreconditionError);
 
   const std::vector<double> good = {0.5, 1.0, 2.0, 4.0, 8.0};
-  EXPECT_NO_THROW(
-      lbmv::core::linear_pr_grid_utilities(*ctx, 0, good, 1.0, out));
+  EXPECT_NO_THROW(evaluator.utilities_into(0, good, 1.0, out));
+}
+
+// A candidate bid so small that the closed form's (R/S')^2 W' underflows
+// against an overflowing W' (1e-300), or whose reciprocal overflows
+// (1e-310), has no finite deviation utility.  Every rule must either
+// return a finite utility — bit-identical between the scalar oracle and
+// the lanes — or raise the typed PreconditionError naming the agent; never
+// NaN, and never a candidate silently dropped from the argmax.
+TEST_P(GridKernelDifferential, ExtremeBidsAreFiniteOrTyped) {
+  const auto mechanism = make_mechanism(GetParam());
+  const SystemConfig config({1.0, 2.0, 5.0}, 4.0);
+  const DeviationEvaluator evaluator(*mechanism, config);
+  for (const double tiny : {1e-300, 1e-310}) {
+    bool scalar_threw = false;
+    double scalar = 0.0;
+    try {
+      scalar = evaluator.utility(0, tiny, 1.0);
+      EXPECT_TRUE(std::isfinite(scalar)) << mechanism->name() << " " << tiny;
+    } catch (const PreconditionError& e) {
+      scalar_threw = true;
+      EXPECT_NE(std::string(e.what()).find("agent 0"), std::string::npos)
+          << e.what();
+    }
+    // The extreme bid inside a full block, beside ordinary candidates.
+    const std::vector<double> bids = {0.5, tiny, 1.0, 2.0, 4.0};
+    std::vector<double> out(bids.size());
+    if (scalar_threw) {
+      EXPECT_THROW(evaluator.utilities_into(0, bids, 1.0, out),
+                   PreconditionError)
+          << mechanism->name();
+      EXPECT_THROW((void)evaluator.best_response(0, bids, 1.0),
+                   PreconditionError)
+          << mechanism->name();
+    } else {
+      evaluator.utilities_into(0, bids, 1.0, out);
+      EXPECT_EQ(out[1], scalar) << mechanism->name();
+      const GridBest best = evaluator.best_response(0, bids, 1.0);
+      EXPECT_TRUE(std::isfinite(best.utility));
+    }
+  }
 }
 
 TEST(GridKernels, LanesPaddedCountsTailLanes) {
@@ -300,83 +338,31 @@ TEST(MakeBidGrid, RejectsDegenerateIntervals) {
   EXPECT_THROW((void)make_bid_grid(1.0, 2.0, 1), PreconditionError);
 }
 
-// GridEvaluator: vectorized flag, scalar-fallback equivalence, and pooled
-// fan-out bit-identity at 1/2/8 threads.
-TEST(GridEvaluatorTest, ScalarFallbackAgreesWithVectorizedWithinTolerance) {
+// The evaluator's scalar fallback (no closed form) and its grid sweeps
+// answer the same questions.
+TEST(DeviationEvaluatorGrid, ScalarFallbackAgreesWithSweepsWithinTolerance) {
   const CompBonusMechanism mechanism;
   const SystemConfig config(log_uniform_types(6, 19), 22.0);
   const DeviationEvaluator fast(mechanism, config);
   const DeviationEvaluator naive(mechanism, config,
                                  DeviationEvaluator::Mode::kNaive);
-  const GridEvaluator vec(fast);
-  const GridEvaluator scal(naive);
-  EXPECT_TRUE(vec.vectorized());
-  EXPECT_FALSE(scal.vectorized());
+  EXPECT_TRUE(fast.incremental());
+  EXPECT_FALSE(naive.incremental());
 
   const double t = config.true_value(2);
   const std::vector<double> bids = make_bid_grid(0.05 * t, 20.0 * t, 37);
   std::vector<double> u_vec(bids.size());
   std::vector<double> u_scal(bids.size());
-  vec.utilities_into(2, bids, t, u_vec);
-  scal.utilities_into(2, bids, t, u_scal);
+  fast.utilities_into(2, bids, t, u_vec);
+  naive.utilities_into(2, bids, t, u_scal);
   for (std::size_t k = 0; k < bids.size(); ++k) {
-    expect_rel_near(u_vec[k], u_scal[k], 1e-9, "grid-evaluator fallback");
+    expect_rel_near(u_vec[k], u_scal[k], 1e-9, "evaluator fallback");
   }
 
-  const GridEvaluator::Best bv = vec.best_response(2, bids, t);
-  const GridEvaluator::Best bs = scal.best_response(2, bids, t);
+  const GridBest bv = fast.best_response(2, bids, t);
+  const GridBest bs = naive.best_response(2, bids, t);
   EXPECT_EQ(bv.index, bs.index);
-  expect_rel_near(bv.utility, bs.utility, 1e-9, "grid-evaluator best");
-}
-
-TEST(GridEvaluatorTest, PooledSweepsBitIdenticalAtAnyThreadCount) {
-  const VcgMechanism mechanism;
-  lbmv::util::Rng rng(99);
-  const SystemConfig config(log_uniform_types(8, 23), 35.0);
-  const BidProfile profile = random_profile(config, rng);
-  const DeviationEvaluator evaluator(mechanism, config, profile);
-
-  const double t = config.true_value(3);
-  // > 4 fan-out blocks of 1024, with a partial tail block.
-  const std::vector<double> bids = make_bid_grid(0.05 * t, 20.0 * t, 4500);
-
-  const GridEvaluator serial(evaluator);
-  const GridEvaluator::Best want = serial.best_response(3, bids, 1.5 * t);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    const GridEvaluator pooled(evaluator, &pool);
-    const GridEvaluator::Best got = pooled.best_response(3, bids, 1.5 * t);
-    EXPECT_EQ(got.index, want.index) << "threads=" << threads;
-    EXPECT_EQ(got.utility, want.utility) << "threads=" << threads;
-  }
-}
-
-TEST(GridEvaluatorTest, BestResponseDynamicsTrajectoriesBitIdentical) {
-  const CompBonusMechanism mechanism;
-  const SystemConfig config(log_uniform_types(6, 31), 28.0);
-
-  lbmv::strategy::BestResponseOptions options;
-  options.max_rounds = 6;
-  options.bid_grid = 2500;  // multiple fan-out blocks per sweep
-  const auto want =
-      lbmv::strategy::best_response_dynamics(mechanism, config, options);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    lbmv::strategy::BestResponseOptions pooled = options;
-    pooled.pool = &pool;
-    const auto got =
-        lbmv::strategy::best_response_dynamics(mechanism, config, pooled);
-    ASSERT_EQ(got.bid_trajectory.size(), want.bid_trajectory.size())
-        << "threads=" << threads;
-    for (std::size_t r = 0; r < want.bid_trajectory.size(); ++r) {
-      for (std::size_t i = 0; i < config.size(); ++i) {
-        EXPECT_EQ(got.bid_trajectory[r][i], want.bid_trajectory[r][i])
-            << "threads=" << threads << " round=" << r << " agent=" << i;
-      }
-    }
-    EXPECT_EQ(got.final_actual_latency, want.final_actual_latency);
-  }
+  expect_rel_near(bv.utility, bs.utility, 1e-9, "evaluator best");
 }
 
 // Full-feedback learners see every arm's counterfactual each round, so a

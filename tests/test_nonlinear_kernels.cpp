@@ -5,7 +5,8 @@
 //   * Capacity boundaries surface as typed PreconditionErrors — infeasible
 //     R >= sum mu, the near-saturation cancellation guard, leave-one-out
 //     subsystems that cannot absorb the load (naming the offending agent),
-//     and execution-side overload x_i >= mu~_i — identically on the fused
+//     a dominant bid whose closed form cancels (naming the agent), and
+//     execution-side overload x_i >= mu~_i — identically on the fused
 //     engine and on the generic path (the GenericPath seam).
 //   * The workload-family Newton solve agrees with a long-double bisection
 //     oracle on the KKT multiplier to 1e-9 relative.
@@ -16,10 +17,10 @@
 //   * Fused rounds agree with the generic virtual-dispatch path to 1e-9
 //     relative across both families, every payment rule, and lane-tail
 //     sizes.
-//   * The M/M/1 deviation-grid kernels (GridEvaluator) are bit-identical to
-//     the scalar DeviationEvaluator oracle at any thread count, and
-//     audit_all grids are bit-identical parallel vs serial; both families
-//     stay truthful-dominant under audit_all.
+//   * The M/M/1 deviation-grid sweeps are bit-identical to the scalar
+//     DeviationEvaluator oracle, and audit_all grids are bit-identical
+//     parallel vs serial; both families stay truthful-dominant under
+//     audit_all.
 //
 // The whole file runs under the ASan/UBSan and LBMV_SIMD=OFF CI legs.
 
@@ -49,7 +50,6 @@
 #include "lbmv/model/system_config.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
@@ -69,7 +69,6 @@ using lbmv::model::MM1Family;
 using lbmv::model::SystemConfig;
 using lbmv::model::WorkloadFamily;
 using lbmv::strategy::DeviationEvaluator;
-using lbmv::strategy::GridEvaluator;
 using lbmv::util::PreconditionError;
 
 /// Mean service times with mu = 1/theta in [1, 2]: at arrival rates up to
@@ -183,6 +182,53 @@ TEST(Mm1Boundary, LeaveOneOutOverloadNamesTheOffendingAgent) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Mm1Boundary, DominantBidCancellationNamesTheAgent) {
+  // Agent 0 bids a mean service time of <= 1e-20 (mu >= 1e20) against
+  // mu = 5 and 2: it alone stays active, and x_0 = mu_0 - c sqrt(mu_0)
+  // cancels to nothing.  Every path must refuse with a typed error naming
+  // agent 0, never an internal invariant failure.
+  const MM1Family family;
+  const std::vector<double> types{0.1, 0.2, 0.5};
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  const auto expect_named = [](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("agent 0 of 3"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const double bid : {1e-20, 1e-25}) {
+    std::vector<double> bids = types;
+    bids[0] = bid;
+    for (const auto& allocator : mm1_paths()) {
+      const CompBonusMechanism mechanism(allocator);
+      expect_named([&] { mechanism.run_into(family, 3.0, bids, bids, out, ws); },
+                   "run_into");
+    }
+    const CompBonusMechanism mechanism(
+        std::make_shared<const lbmv::alloc::MM1Allocator>());
+    BidProfile profile;
+    profile.bids = bids;
+    profile.executions = bids;
+    expect_named(
+        [&] { (void)mechanism.make_profile_context(family, 3.0, profile); },
+        "context build");
+    const auto context = mechanism.make_profile_context(
+        family, 3.0, BidProfile{types, types});
+    expect_named([&] { (void)context->utility(0, bid, bid); },
+                 "context deviation");
+  }
+  // A less extreme dominant bid still resolves.
+  std::vector<double> bids = types;
+  bids[0] = 1e-14;
+  const CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::MM1Allocator>());
+  EXPECT_NO_THROW(mechanism.run_into(family, 3.0, bids, bids, out, ws));
 }
 
 TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothPaths) {
@@ -521,57 +567,54 @@ TEST(FusedDifferential, WorkloadFusedRoundsMatchGenericPath) {
 }
 
 // ---------------------------------------------------------------------------
-// M/M/1 grid kernels: bit-identical to the scalar oracle at any thread
-// count.
+// M/M/1 grid sweeps: bit-identical to the scalar oracle.
 
-TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
+TEST(Mm1Grid, GridSweepsBitIdenticalToScalarOracle) {
   const std::size_t n = 9;
   const double rate = 0.4 * sum_mu(narrow_types(n, 3));
   const SystemConfig config(narrow_types(n, 3), rate,
                             std::make_shared<const MM1Family>());
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
+  ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
+                mechanism
+                    .make_profile_context(config.family(), rate,
+                                          BidProfile::truthful(config))
+                    .get()),
+            nullptr);
   const DeviationEvaluator evaluator(mechanism, config);
   ASSERT_TRUE(evaluator.incremental());
-  ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
-                evaluator.profile_context()),
-            nullptr);
 
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    const GridEvaluator grid_eval(evaluator, &pool);
-    EXPECT_TRUE(grid_eval.vectorized());
-    for (std::size_t agent = 0; agent < n; ++agent) {
-      const double truth = config.true_value(agent);
-      // Wide grid: interior candidates ride the all-active fast path while
-      // very slow bids (8x truth) drop the deviator out of the active set
-      // and defer whole lane blocks to the scalar oracle — both must match
-      // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
-      // assignment beyond the agent's true capacity, where the domain
-      // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
-      // multiple cover tail padding.
-      for (std::size_t points : {2u, 6u, 103u}) {
-        const std::vector<double> bids = lbmv::strategy::make_bid_grid(
-            0.9 * truth, 8.0 * truth, points,
-            lbmv::strategy::GridSpacing::kLinear);
-        std::vector<double> fast(points);
-        grid_eval.utilities_into(agent, bids, truth, fast);
-        double best_u = evaluator.utility(agent, bids[0], truth);
-        std::size_t best_k = 0;
-        for (std::size_t k = 0; k < points; ++k) {
-          const double oracle = evaluator.utility(agent, bids[k], truth);
-          EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
-              << "agent " << agent << " candidate " << k;
-          if (oracle > best_u) {
-            best_u = oracle;
-            best_k = k;
-          }
+  for (std::size_t agent = 0; agent < n; ++agent) {
+    const double truth = config.true_value(agent);
+    // Wide grid: interior candidates ride the all-active fast path while
+    // very slow bids (8x truth) drop the deviator out of the active set and
+    // defer whole lane blocks to the scalar oracle — both must match bit
+    // for bit.  The fast edge stays at 0.9x truth: faster bids win an
+    // assignment beyond the agent's true capacity, where the domain REQUIRE
+    // fires (covered by Mm1Boundary).  Sizes off the lane multiple cover
+    // tail padding.
+    for (std::size_t points : {2u, 6u, 103u}) {
+      const std::vector<double> bids = lbmv::strategy::make_bid_grid(
+          0.9 * truth, 8.0 * truth, points,
+          lbmv::strategy::GridSpacing::kLinear);
+      std::vector<double> fast(points);
+      evaluator.utilities_into(agent, bids, truth, fast);
+      double best_u = evaluator.utility(agent, bids[0], truth);
+      std::size_t best_k = 0;
+      for (std::size_t k = 0; k < points; ++k) {
+        const double oracle = evaluator.utility(agent, bids[k], truth);
+        EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
+            << "agent " << agent << " candidate " << k;
+        if (oracle > best_u) {
+          best_u = oracle;
+          best_k = k;
         }
-        const GridEvaluator::Best best =
-            grid_eval.best_response(agent, bids, truth);
-        EXPECT_EQ(best.index, best_k);
-        EXPECT_EQ(best.utility, best_u);
       }
+      const lbmv::core::GridBest best =
+          evaluator.best_response(agent, bids, truth);
+      EXPECT_EQ(best.index, best_k);
+      EXPECT_EQ(best.utility, best_u);
     }
   }
 }

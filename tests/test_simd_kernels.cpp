@@ -6,9 +6,7 @@
 // bounded relative error of 1e-9 on every published value — the engine
 // reassociates S, computes both latency totals in closed form and
 // multiplies rates by one precomputed share, each an O(n·eps)
-// perturbation — while the per-agent leave-one-out and Archer–Tardos tail
-// kernels, which apply the scalar operand order exactly, match the scalar
-// loops bit-for-bit at equal S.  The block grid and every reduction tree
+// perturbation.  The block grid and every reduction tree
 // are fixed, so outcomes are bit-identical across shard and thread counts,
 // and invalid inputs throw the generic path's diagnostics.
 
@@ -186,50 +184,6 @@ TEST(SimdKernels, MatchesGenericPathOnBoundaryBids) {
     EXPECT_LE(max_outcome_rel_err(generic_out, simd_out, floor), kUlpBound)
         << m->name();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identical pieces: the per-agent leave-one-out and tail kernels apply
-// the scalar operand order exactly, so at equal S they are not merely close
-// but equal.
-
-TEST(SimdKernels, LeaveOneOutBlockBitIdenticalAtEqualSum) {
-  const std::size_t n = 1027;  // forces a scalar tail
-  const Profile p = random_profile(n, 5);
-  std::vector<double> inv(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    inv[i] = 1.0 / p.bids[i];
-    sum += inv[i];
-  }
-  const double rate = 4.0;
-  const double min_gap = sum * lbmv::alloc::kLeaveOneOutMinRelativeGap;
-  std::vector<double> block(n), scalar(n);
-  ASSERT_TRUE(lbmv::alloc::simd::pr_leave_one_out_block(inv, sum, rate,
-                                                        min_gap, block));
-  const double r2 = rate * rate;
-  for (std::size_t i = 0; i < n; ++i) scalar[i] = r2 / (sum - inv[i]);
-  EXPECT_EQ(0, std::memcmp(block.data(), scalar.data(), n * sizeof(double)));
-}
-
-TEST(SimdKernels, ArcherTardosTailBlockBitIdenticalAtEqualSum) {
-  const std::size_t n = 1027;
-  const Profile p = random_profile(n, 6);
-  std::vector<double> inv(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    inv[i] = 1.0 / p.bids[i];
-    sum += inv[i];
-  }
-  const double rate = 4.0;
-  std::vector<double> block(n), scalar(n);
-  ASSERT_TRUE(lbmv::alloc::simd::archer_tardos_tail_block(p.bids, inv, sum,
-                                                          rate, block));
-  for (std::size_t i = 0; i < n; ++i) {
-    scalar[i] = lbmv::core::archer_tardos_tail_integral(p.bids[i],
-                                                        sum - inv[i], rate);
-  }
-  EXPECT_EQ(0, std::memcmp(block.data(), scalar.data(), n * sizeof(double)));
 }
 
 TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {

@@ -44,9 +44,9 @@
 // plus a `deviation_grid` section for the lane-parallel deviation-grid
 // kernels (DESIGN.md §13): full candidate-bid sweeps (grid = 1000 bids per
 // agent over [0.05 t, 20 t]) through the scalar per-point
-// DeviationEvaluator loop, the 4-lane GridEvaluator serial, and the
-// GridEvaluator fanned over an 8-thread pool — all in this same run — with
-// a 1e-9 vectorized-vs-scalar differential gate on the exit code.
+// DeviationEvaluator loop and the evaluator's 4-lane best_response sweep —
+// both in this same run — with a 1e-9 vectorized-vs-scalar differential
+// gate on the exit code.
 //
 // plus an `obs_timeseries` section for the live-telemetry pipeline
 // (DESIGN.md §9): the single-round hot path timed with recording disabled
@@ -115,7 +115,6 @@
 #include "lbmv/strategy/best_response.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
 #include "lbmv/strategy/tournament.h"
@@ -1032,18 +1031,16 @@ int main(int argc, char** argv) {
 
   // Deviation-grid kernels (DESIGN.md §13): sweep grid = 1000 candidate
   // bids per agent (linear over [0.05 t_i, 20 t_i]) for every agent, through
-  // three paths in this same process: the scalar per-point
+  // two paths in this same process: the scalar per-point
   // DeviationEvaluator::utility scan (the pre-kernel formulation, kept
-  // verbatim as the oracle), the 4-lane GridEvaluator serial, and the
-  // GridEvaluator with its candidate axis fanned over an 8-thread pool.
-  // All three produce bit-identical argmaxes by construction; the
+  // verbatim as the oracle) and the evaluator's 4-lane best_response
+  // sweep.  Both produce bit-identical argmaxes by construction; the
   // differential check below compares the vectorized utilities against the
   // scalar oracle point by point and gates the exit code at 1e-9.
   JsonValue::Object deviation_grid;
   bool grid_check_pass = true;
   {
     using lbmv::strategy::DeviationEvaluator;
-    using lbmv::strategy::GridEvaluator;
     const std::size_t grid_points = 1000;
     const double tmin = smoke ? 0.05 : 0.3;
     const int treps = smoke ? 2 : 3;
@@ -1056,16 +1053,13 @@ int main(int argc, char** argv) {
     JsonValue::Array grid_series;
     double max_err = 0.0;
     double serial_speedup_n256 = 0.0;
-    lbmv::util::ThreadPool pool(8);
     const lbmv::core::CompBonusMechanism mechanism;
     for (std::size_t n : grid_sizes) {
       const lbmv::model::SystemConfig config(random_types(n, 13),
                                              arrival_rate);
       const DeviationEvaluator evaluator(mechanism, config);
-      const GridEvaluator serial_eval(evaluator);
-      const GridEvaluator pooled_eval(evaluator, &pool);
       // Per-agent candidate grids, built once outside the timed regions so
-      // all three paths sweep the identical candidates.
+      // both paths sweep the identical candidates.
       std::vector<std::vector<double>> grids(n);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = config.true_value(i);
@@ -1090,28 +1084,18 @@ int main(int argc, char** argv) {
       const double serial_secs = seconds_per_call(
           [&] {
             for (std::size_t i = 0; i < n; ++i) {
-              sink += serial_eval
+              sink += evaluator
                           .best_response(i, grids[i], config.true_value(i))
                           .utility;
             }
           },
           tmin, treps);
-      const double pooled_secs = seconds_per_call(
-          [&] {
-            for (std::size_t i = 0; i < n; ++i) {
-              sink += pooled_eval
-                          .best_response(i, grids[i], config.true_value(i))
-                          .utility;
-            }
-          },
-          tmin, treps);
-
       // Differential cross-check: vectorized utilities vs the scalar
       // oracle, every agent, every candidate.
       std::vector<double> utilities(grid_points);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = config.true_value(i);
-        serial_eval.utilities_into(i, grids[i], t, utilities);
+        evaluator.utilities_into(i, grids[i], t, utilities);
         for (std::size_t j = 0; j < grid_points; ++j) {
           const double reference = evaluator.utility(i, grids[i][j], t);
           const double err = std::fabs(utilities[j] - reference) /
@@ -1122,23 +1106,18 @@ int main(int argc, char** argv) {
 
       const double evals = static_cast<double>(n * grid_points);
       const double serial_speedup = scalar_secs / serial_secs;
-      const double pooled_speedup = scalar_secs / pooled_secs;
       if (n == 256) serial_speedup_n256 = serial_speedup;
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
       entry["grid_points"] = static_cast<double>(grid_points);
       entry["scalar_evals_per_sec"] = evals / scalar_secs;
       entry["vector_serial_evals_per_sec"] = evals / serial_secs;
-      entry["vector_pooled_evals_per_sec"] = evals / pooled_secs;
       entry["serial_speedup_vs_scalar"] = serial_speedup;
-      entry["pooled_speedup_vs_scalar"] = pooled_speedup;
       grid_series.emplace_back(std::move(entry));
       std::cout << "deviation_grid n=" << n << " grid=" << grid_points
                 << ": scalar " << evals / scalar_secs / 1e6
                 << "M evals/s, vector serial " << evals / serial_secs / 1e6
-                << "M (" << serial_speedup << "x), vector pooled "
-                << evals / pooled_secs / 1e6 << "M (" << pooled_speedup
-                << "x)\n";
+                << "M (" << serial_speedup << "x)\n";
       if (sink == 0.0) std::cout << "";  // keep `sink` observable
     }
     if (max_err >= 1e-9) grid_check_pass = false;
@@ -1153,15 +1132,14 @@ int main(int argc, char** argv) {
         std::string(lbmv::util::simd::backend_name());
     deviation_grid["hardware_concurrency"] =
         static_cast<double>(std::thread::hardware_concurrency());
-    deviation_grid["threads_used"] = 8.0;  // the pooled sweep's fixed pool
+    deviation_grid["threads_used"] = 1.0;  // sweeps run on the caller
     deviation_grid["note"] =
         "scalar_evals_per_sec scans the same per-agent candidate grids "
         "through DeviationEvaluator::utility one point at a time in this "
         "same process (the differential oracle); vector rows ride the "
-        "4-lane grid kernels (vector_backend), serial and with the "
-        "candidate axis fanned over an 8-thread pool in fixed 1024-wide "
-        "blocks; all three paths return bit-identical argmaxes, and pooled "
-        "scaling is bounded by hardware_concurrency";
+        "4-lane grid kernels (vector_backend) through "
+        "DeviationEvaluator::best_response; both paths return "
+        "bit-identical argmaxes";
     std::cout << "deviation grid cross-check: max rel err " << max_err
               << " -> " << (grid_check_pass ? "pass" : "FAIL") << "\n";
   }
