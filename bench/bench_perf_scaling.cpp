@@ -27,8 +27,8 @@
 #include "lbmv/model/system_config.h"
 #include "lbmv/obs/obs.h"
 #include "lbmv/sim/engine.h"
+#include "lbmv/sim/fcfs.h"
 #include "lbmv/sim/job_source.h"
-#include "lbmv/sim/legacy_engine.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/sim/replication.h"
 #include "lbmv/sim/server.h"
@@ -405,10 +405,10 @@ BENCHMARK(BM_DeviationGridVector)
 // two decades, mirroring the paper's heterogeneous service rates), so the
 // queue stays populated at the ring size and events interleave.  The typed
 // loop hashes POD events into calendar buckets and dispatches through one
-// virtual call; the seed loop heap-allocates a >SSO-sized std::function per
-// event (the seed server's completion lambda captured this + Job + service
-// time) and pays an O(log n) branchy sift per pop.  The range argument is
-// the pending-event population.
+// virtual call.  The range argument is the pending-event population.  The
+// BM_SimStack pair times the full queueing stack (Poisson source + FCFS
+// servers) on the typed loop and through the event-free two-pass
+// simulation the protocol round runs.
 
 double ring_increment(std::size_t i) {
   return 0.1 * std::pow(100.0, static_cast<double>(i % 997) / 997.0);
@@ -497,40 +497,6 @@ void BM_EventLoopTypedObsOn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopTypedObsOn)->Arg(64)->Arg(4096)->Arg(65536);
 
-void BM_EventLoopFunction(benchmark::State& state) {
-  // Captures mirror the seed completion closure: object pointer + Job +
-  // service time (40 bytes), past libstdc++'s 16-byte SSO buffer.
-  struct Ticker {
-    lbmv::sim::legacy::Simulation* sim;
-    double increment;
-    std::size_t* budget;
-    lbmv::sim::Job job;
-    void tick() {
-      if (*budget > 0) {
-        --*budget;
-        Ticker self = *this;
-        sim->schedule_after(increment, [self]() mutable { self.tick(); });
-      }
-    }
-  };
-  const auto ring = static_cast<std::size_t>(state.range(0));
-  const std::size_t events = ring * 8;
-  for (auto _ : state) {
-    lbmv::sim::legacy::Simulation sim;
-    std::size_t budget = events;
-    std::vector<Ticker> sinks(ring);
-    for (std::size_t i = 0; i < ring; ++i) {
-      sinks[i] = Ticker{&sim, ring_increment(i), &budget, lbmv::sim::Job{}};
-      sinks[i].tick();
-    }
-    budget += ring;  // the priming ticks above consumed budget
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventLoopFunction)->Arg(64)->Arg(4096)->Arg(65536);
-
 void BM_SimStackTyped(benchmark::State& state) {
   // Full queueing stack (source + FCFS servers), typed loop.
   const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
@@ -558,32 +524,24 @@ void BM_SimStackTyped(benchmark::State& state) {
 }
 BENCHMARK(BM_SimStackTyped);
 
-void BM_SimStackLegacy(benchmark::State& state) {
-  // Identical workload on the preserved seed loop.
+void BM_SimStackFcfs(benchmark::State& state) {
+  // The identical workload through the event-free two-pass simulation
+  // (fcfs.h); items are the events the typed loop dispatches for it
+  // (2 jobs + 1), so the rates compare directly.
   const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
   const std::vector<double> rates{2.0, 1.5, 1.0, 0.5};
-  std::size_t events = 0;
+  std::uint64_t jobs = 0;
   for (auto _ : state) {
-    lbmv::util::Rng rng(11);
-    lbmv::sim::legacy::Simulation sim;
-    std::vector<std::unique_ptr<lbmv::sim::legacy::Server>> servers;
-    std::vector<lbmv::sim::legacy::Server*> ptrs;
-    for (std::size_t i = 0; i < exec.size(); ++i) {
-      servers.push_back(std::make_unique<lbmv::sim::legacy::Server>(
-          sim, "C", exec[i], lbmv::sim::ServiceModel::kExponential,
-          rng.split(i + 1)));
-      ptrs.push_back(servers.back().get());
-    }
-    lbmv::sim::legacy::JobSource source(sim, ptrs, rates, 2000.0,
-                                        rng.split(0));
-    source.start();
-    sim.run();
-    events = sim.processed();
+    const lbmv::sim::FcfsRun run = lbmv::sim::simulate_fcfs(
+        rates, exec, lbmv::sim::ServiceModel::kExponential, 2000.0,
+        lbmv::util::Rng(11));
+    jobs = run.jobs;
+    benchmark::DoNotOptimize(run.busy_time.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
+                          static_cast<std::int64_t>(2 * jobs + 1));
 }
-BENCHMARK(BM_SimStackLegacy);
+BENCHMARK(BM_SimStackFcfs);
 
 void BM_ReplicatedRound(benchmark::State& state) {
   // Parallel Monte-Carlo protocol rounds; threads swept via the range arg.

@@ -103,7 +103,7 @@ struct Mm1PrProfileContext::Deviation {
 
 Mm1PrProfileContext::Deviation Mm1PrProfileContext::deviation(
     std::size_t agent, double execution) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   Deviation st;
   st.r = arrival_rate_;
   st.rest_mu = sum_mu_ - mus_[agent];
@@ -252,7 +252,7 @@ GridBest Mm1PrProfileContext::grid_best(std::size_t agent,
 
 void Mm1PrProfileContext::commit(std::size_t agent, double bid,
                                  double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   require_valid_inputs(bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
@@ -264,9 +264,13 @@ void Mm1PrProfileContext::commit(std::size_t agent, double bid,
 
 void Mm1PrProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
+  // Validate the whole batch first: a rejected delta leaves the committed
+  // profile untouched.
   for (const BidDelta& d : deltas) {
-    LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
+    require_agent_index(d.agent, profile_.size());
     require_valid_inputs(d.bid, d.execution);
+  }
+  for (const BidDelta& d : deltas) {
     profile_.bids[d.agent] = d.bid;
     profile_.executions[d.agent] = d.execution;
   }
@@ -315,7 +319,7 @@ void WorkloadProfileContext::rebuild() {
 
 double WorkloadProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   require_valid_inputs(bid, execution);
   const std::size_t n = profile_.size();
   // The conservation constraint couples every rate through the multiplier,
@@ -345,7 +349,7 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
 
 void WorkloadProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   require_valid_inputs(bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
@@ -354,9 +358,13 @@ void WorkloadProfileContext::commit(std::size_t agent, double bid,
 
 void WorkloadProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
+  // Validate the whole batch first: a rejected delta leaves the committed
+  // profile untouched.
   for (const BidDelta& d : deltas) {
-    LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
+    require_agent_index(d.agent, profile_.size());
     require_valid_inputs(d.bid, d.execution);
+  }
+  for (const BidDelta& d : deltas) {
     profile_.bids[d.agent] = d.bid;
     profile_.executions[d.agent] = d.execution;
   }

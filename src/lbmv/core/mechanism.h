@@ -66,6 +66,14 @@ enum class EngineKind {
 [[nodiscard]] EngineKind classify_round(const model::LatencyFamily& family,
                                         const alloc::Allocator& allocator);
 
+/// The check every ProfileUtilityContext entry point makes on its agent
+/// index: a PreconditionError naming the index and the profile size.
+inline void require_agent_index(std::size_t agent, std::size_t agents) {
+  LBMV_REQUIRE(agent < agents, "agent index " + std::to_string(agent) +
+                                   " out of range for " +
+                                   std::to_string(agents) + " agents");
+}
+
 /// Raise the round entries' typed PreconditionError unless \p bid and
 /// \p execution are positive and finite: the one input domain every round,
 /// profile-context query and commit accepts.
@@ -182,8 +190,14 @@ class ProfileUtilityContext {
   /// write all k entries first and re-derive once — the re-derivation is
   /// from scratch at the final profile, so the override is state-identical
   /// to the sequential loop with k times less work.  Later entries for the
-  /// same agent win (sequential semantics).
+  /// same agent win (sequential semantics).  Every delta is validated
+  /// before any is applied, so a rejected batch leaves the profile as it
+  /// was.
   virtual void commit_batch(std::span<const BidDelta> deltas) {
+    for (const BidDelta& d : deltas) {
+      require_agent_index(d.agent, profile().size());
+      require_valid_inputs(d.bid, d.execution);
+    }
     for (const BidDelta& d : deltas) commit(d.agent, d.bid, d.execution);
   }
 

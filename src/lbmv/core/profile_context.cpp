@@ -97,7 +97,7 @@ LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
 
 double LinearPrProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   require_valid_inputs(bid, execution);
   const LinearDeviation st =
       deviation_state(arrival_rate_, s_, w_, profile_.bids[agent],
@@ -146,7 +146,7 @@ GridBest LinearPrProfileContext::grid_best(std::size_t agent,
 
 void LinearPrProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
+  require_agent_index(agent, profile_.size());
   require_valid_inputs(bid, execution);
   const double old_bid = profile_.bids[agent];
   const double old_exec = profile_.executions[agent];

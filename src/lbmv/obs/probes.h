@@ -9,15 +9,21 @@
 /// directly (a shard lookup plus relaxed atomics); the simulator's
 /// per-event sites (events, queue depth, jobs, per-server arrivals,
 /// completions and waiting times) tally in plain members and flush through
-/// the batch entry points (metrics.h, DESIGN.md §9).
+/// the batch entry points (metrics.h, DESIGN.md §9).  The protocol round,
+/// which runs no event loop, records the same counts in one batch per
+/// family per round.
 ///
 /// Families (all exported by `lbmv obs`, documented in DESIGN.md §9):
 ///
 ///   counters
-///     lbmv_sim_events_total                   events dispatched
+///     lbmv_sim_events_total                   events dispatched (or, for
+///                                             a protocol round, the events
+///                                             its event loop would dispatch)
 ///     lbmv_sim_events_kind_total{kind=...}    per EventKind
 ///     lbmv_sim_window_refills_total           calendar window refills
-///     lbmv_sim_source_jobs_total              jobs emitted by JobSource
+///                                             (event loop only)
+///     lbmv_sim_source_jobs_total              jobs the Poisson source
+///                                             emitted
 ///     lbmv_server_arrivals_total{server=...}  per-server submissions
 ///     lbmv_server_completions_total{server=...}
 ///     lbmv_mech_rounds_total                  mechanism rounds (run/run_into)

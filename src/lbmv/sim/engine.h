@@ -44,10 +44,17 @@
 ///
 /// Events with equal timestamps are processed in scheduling order: a strict
 /// monotone sequence number breaks ties, so runs are reproducible
-/// bit-for-bit regardless of event kind.  The legacy `std::function` loop is
-/// preserved verbatim in legacy_engine.h and a differential test
-/// (test_sim_determinism) proves both loops produce identical completion
-/// traces.
+/// bit-for-bit regardless of event kind.  The seed `std::function` loop is
+/// preserved verbatim as a test-only reference
+/// (tests/support/lbmv/sim/legacy_engine.h), and test_sim_determinism
+/// proves both loops produce identical completion traces.
+///
+/// ## Users
+///
+/// The protocol round does not run this engine: its execution step is the
+/// event-free two-pass simulation in fcfs.h, which reproduces this loop's
+/// completions bit for bit.  The engine serves dist::Network (`lbmv dist`)
+/// and is the reference Server and JobSource run on.
 
 #include <cstddef>
 #include <cstdint>

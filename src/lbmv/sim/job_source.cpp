@@ -1,8 +1,7 @@
 #include "lbmv/sim/job_source.h"
 
-#include <algorithm>
-
 #include "lbmv/obs/probes.h"
+#include "lbmv/sim/fcfs.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::sim {
@@ -12,24 +11,17 @@ JobSource::JobSource(Simulation& sim, std::span<Server* const> servers,
                      util::Rng rng)
     : sim_(&sim),
       servers_(servers.begin(), servers.end()),
-      rates_(std::move(rates)),
-      total_rate_(0.0),
       horizon_(horizon),
       rng_(rng),
       counts_(servers_.size(), 0) {
   LBMV_REQUIRE(!servers_.empty(), "job source needs at least one server");
-  LBMV_REQUIRE(rates_.size() == servers_.size(),
+  LBMV_REQUIRE(rates.size() == servers_.size(),
                "one rate per server required");
-  cumulative_rates_.reserve(rates_.size());
-  for (std::size_t i = 0; i < rates_.size(); ++i) {
-    LBMV_REQUIRE(servers_[i] != nullptr, "servers must not be null");
-    LBMV_REQUIRE(rates_[i] >= 0.0, "rates must be non-negative");
-    // Accumulate left-to-right exactly like Rng::categorical's running sum
-    // so the binary-search routing is bit-identical to the linear scan.
-    total_rate_ += rates_[i];
-    cumulative_rates_.push_back(total_rate_);
+  for (const Server* server : servers_) {
+    LBMV_REQUIRE(server != nullptr, "servers must not be null");
   }
-  LBMV_REQUIRE(total_rate_ > 0.0, "total arrival rate must be positive");
+  cumulative_rates_ = cumulative_rates(rates);
+  total_rate_ = cumulative_rates_.back();
   LBMV_REQUIRE(horizon_ > 0.0, "horizon must be positive");
 }
 
@@ -52,19 +44,9 @@ void JobSource::on_sim_event(Simulation& sim, EventKind kind) {
   arrival();
 }
 
-std::size_t JobSource::route() {
-  // Equivalent to rng_.categorical(rates_): one uniform draw, first index i
-  // with u < prefix_sum(i), falling back to the last server on round-off.
-  const double u = rng_.uniform() * total_rate_;
-  const auto it = std::upper_bound(cumulative_rates_.begin(),
-                                   cumulative_rates_.end(), u);
-  if (it == cumulative_rates_.end()) return cumulative_rates_.size() - 1;
-  return static_cast<std::size_t>(it - cumulative_rates_.begin());
-}
-
 void JobSource::arrival() {
   if (sim_->now() > horizon_) return;  // stop generating past the horizon
-  const std::size_t target = route();
+  const std::size_t target = route_job(cumulative_rates_, rng_);
   if (obs::enabled() && ++obs_jobs_pending_ >= kTelemetryFlushEvery) {
     flush_telemetry();
   }

@@ -9,12 +9,15 @@
 /// arrival is routed to computer i with probability x_i / R, which makes
 /// every per-computer arrival process Poisson with rate x_i (thinning).
 ///
-/// Hot-path design: arrivals are typed events (the source is an EventSink),
-/// and routing uses a precomputed prefix-sum table with binary search —
-/// O(log n) per arrival instead of the seed's O(n) re-validated weight
-/// scan, while consuming the identical single uniform draw and returning
-/// the identical index (the prefix sums are accumulated in the same
-/// left-to-right order as Rng::categorical's running sum).
+/// Arrivals are typed events (the source is an EventSink).  Routing is
+/// route_job over cumulative_rates (fcfs.h): one uniform draw and a binary
+/// search of the prefix sums, the index Rng::categorical would return.
+///
+/// The protocol round does not run this class: simulate_fcfs (fcfs.h)
+/// walks the same stream with the same routing function.  JobSource is the
+/// event-loop reference that test_fcfs_pass, test_sim_determinism and the
+/// end-to-end benchmark's composed round check the event-free pass
+/// against, and it serves callers that drive their own Simulation.
 ///
 /// Telemetry: jobs emitted while obs::enabled() are tallied locally and
 /// flushed every kTelemetryFlushEvery jobs and on destruction.
@@ -55,14 +58,12 @@ class JobSource final : public EventSink {
 
  private:
   void arrival();
-  [[nodiscard]] std::size_t route();
   void flush_telemetry();
 
   Simulation* sim_;
   std::vector<Server*> servers_;
-  std::vector<double> rates_;
-  std::vector<double> cumulative_rates_;  ///< prefix sums of rates_
-  double total_rate_;
+  std::vector<double> cumulative_rates_;  ///< prefix sums of the rates
+  double total_rate_ = 0.0;
   SimTime horizon_;
   util::Rng rng_;
   std::uint64_t next_job_id_ = 0;

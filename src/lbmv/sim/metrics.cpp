@@ -12,7 +12,7 @@ std::size_t SystemMetrics::total_jobs() const {
   return total;
 }
 
-SystemMetrics collect_metrics(std::span<Server* const> servers,
+SystemMetrics collect_metrics(std::span<const ServerRecord> servers,
                               double duration, double warmup_fraction) {
   // A non-finite duration (or a NaN warmup fraction, which passes neither
   // comparison below) would silently yield zero/NaN throughput for every
@@ -27,11 +27,10 @@ SystemMetrics collect_metrics(std::span<Server* const> servers,
   const double warmup = warmup_fraction * duration;
   const double window = duration - warmup;
 
-  for (const Server* server : servers) {
-    LBMV_REQUIRE(server != nullptr, "servers must not be null");
+  for (const ServerRecord& server : servers) {
     ServerMetrics sm;
     util::RunningStats waiting, service, response;
-    for (const Completion& c : server->completions()) {
+    for (const Completion& c : server.completions) {
       if (c.arrival < warmup) continue;
       waiting.add(c.waiting_time());
       service.add(c.service_time());
@@ -42,12 +41,23 @@ SystemMetrics collect_metrics(std::span<Server* const> servers,
     sm.mean_waiting_time = waiting.mean();
     sm.mean_service_time = service.mean();
     sm.mean_response_time = response.mean();
-    sm.utilization = server->busy_time() / duration;
+    sm.utilization = server.busy_time / duration;
     sm.waiting_ci95 = waiting.ci95_halfwidth();
     metrics.measured_total_latency += sm.throughput * sm.mean_waiting_time;
     metrics.servers.push_back(sm);
   }
   return metrics;
+}
+
+SystemMetrics collect_metrics(std::span<Server* const> servers,
+                              double duration, double warmup_fraction) {
+  std::vector<ServerRecord> records;
+  records.reserve(servers.size());
+  for (const Server* server : servers) {
+    LBMV_REQUIRE(server != nullptr, "servers must not be null");
+    records.push_back(ServerRecord{server->completions(), server->busy_time()});
+  }
+  return collect_metrics(records, duration, warmup_fraction);
 }
 
 }  // namespace lbmv::sim

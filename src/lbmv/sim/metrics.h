@@ -37,9 +37,20 @@ struct SystemMetrics {
   [[nodiscard]] std::size_t total_jobs() const;
 };
 
-/// Summarise a set of servers after running a simulation for \p duration
-/// simulated seconds.  Jobs completing within the first
+/// What one server observed over a finished run.
+struct ServerRecord {
+  std::span<const Completion> completions;  ///< in service order
+  double busy_time = 0.0;                   ///< sum of the service times
+};
+
+/// Summarise per-server records after running a simulation for
+/// \p duration simulated seconds.  Jobs arriving within the first
 /// \p warmup_fraction * duration are discarded as transient.
+[[nodiscard]] SystemMetrics collect_metrics(
+    std::span<const ServerRecord> servers, double duration,
+    double warmup_fraction = 0.1);
+
+/// collect_metrics over event-loop servers' completion logs and busy times.
 [[nodiscard]] SystemMetrics collect_metrics(std::span<Server* const> servers,
                                             double duration,
                                             double warmup_fraction = 0.1);

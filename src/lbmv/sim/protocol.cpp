@@ -1,18 +1,57 @@
 #include "lbmv/sim/protocol.h"
 
 #include <cmath>
-#include <memory>
+#include <string>
 
 #include "lbmv/core/batch.h"
 #include "lbmv/core/delta_engine.h"
+#include "lbmv/obs/metrics.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/obs/trace.h"
-#include "lbmv/sim/job_source.h"
+#include "lbmv/sim/engine.h"
+#include "lbmv/sim/fcfs.h"
 #include "lbmv/sim/rate_estimator.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::sim {
+
+namespace {
+
+/// The telemetry the event loop would have recorded for \p run, in one
+/// batch per family: every arrival event (one per job, plus the one that
+/// lands past the horizon and stops the source), every completion event,
+/// and per server "C<i+1>" its arrivals, completions and waiting times in
+/// FCFS order.  The queue-depth gauge is untouched: a drained round's
+/// pushes and pops cancel.
+void record_execution(const FcfsRun& run) {
+  obs::SimProbes& probes = obs::SimProbes::get();
+  probes.events_total.inc_batch(2 * run.jobs + 1);
+  probes.events_by_kind[static_cast<std::size_t>(EventKind::kArrival)]
+      .inc_batch(run.jobs + 1);
+  probes
+      .events_by_kind[static_cast<std::size_t>(EventKind::kServiceCompletion)]
+      .inc_batch(run.jobs);
+  probes.source_jobs.inc_batch(run.jobs);
+  obs::Registry& registry = obs::Registry::global();
+  for (std::size_t i = 0; i < run.completions.size(); ++i) {
+    const std::string server = "C" + std::to_string(i + 1);
+    const std::vector<Completion>& log = run.completions[i];
+    registry.counter(obs::labeled("lbmv_server_arrivals_total", "server",
+                                  server))
+        .inc_batch(log.size());
+    registry.counter(obs::labeled("lbmv_server_completions_total", "server",
+                                  server))
+        .inc_batch(log.size());
+    obs::Histogram waiting = registry.histogram(
+        obs::labeled("lbmv_server_waiting_seconds", "server", server));
+    obs::record_each(waiting, log.size(), [&log](std::size_t k) {
+      return log[k].waiting_time();
+    });
+  }
+}
+
+}  // namespace
 
 VerifiedProtocol::VerifiedProtocol(const core::Mechanism& mechanism,
                                    ProtocolOptions options)
@@ -67,36 +106,18 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
          {"arrival_rate", config.arrival_rate()}});
   }
 
-  // Step 3: execute the jobs on simulated servers.  The servers (and
-  // their completion logs) outlive the span: step 4 reads them.
-  util::Rng rng(seed);
-  Simulation sim;
-  std::vector<std::unique_ptr<Server>> servers;
-  std::vector<Server*> server_ptrs;
+  // Step 3: execute the jobs on the simulated servers: the event loop's
+  // random streams and arithmetic without its queue (fcfs.h).  Step 4
+  // reads the completion logs.
+  FcfsRun run;
   {
     const obs::Span simulate_span("simulate", "protocol");
-    servers.reserve(n);
-    // Arena pre-sizing: ~R * horizon jobs arrive system-wide; spreading
-    // that evenly is only a hint, but it keeps steady-state runs
-    // allocation-free.
-    const double expected_jobs =
-        config.arrival_rate() * options_.horizon / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      servers.push_back(std::make_unique<Server>(
-          sim, "C" + std::to_string(i + 1), intents.executions[i],
-          options_.service_model, rng.split(i + 1)));
-      servers.back()->reserve(
-          static_cast<std::size_t>(2.0 * expected_jobs) + 16);
-      server_ptrs.push_back(servers.back().get());
-    }
-    std::vector<double> rates(report.allocation.rates().begin(),
-                              report.allocation.rates().end());
-    JobSource source(sim, server_ptrs, std::move(rates), options_.horizon,
-                     rng.split(0));
-    source.start();
-    sim.run();  // arrivals stop at the horizon; drain remaining service
-    report.metrics = collect_metrics(server_ptrs, options_.horizon,
+    run = simulate_fcfs(report.allocation.rates(), intents.executions,
+                        options_.service_model, options_.horizon,
+                        util::Rng(seed));
+    report.metrics = collect_metrics(run.records(), options_.horizon,
                                      options_.warmup_fraction);
+    if (obs::enabled()) record_execution(run);
   }
 
   // Step 4: verification — estimate execution values from completions.
@@ -108,10 +129,10 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
     for (std::size_t i = 0; i < n; ++i) {
       const auto estimate =
           options_.trim_fraction > 0.0
-              ? estimate_execution_value_trimmed(servers[i]->completions(),
+              ? estimate_execution_value_trimmed(run.completions[i],
                                                  options_.service_model,
                                                  options_.trim_fraction)
-              : estimate_execution_value(servers[i]->completions(),
+              : estimate_execution_value(run.completions[i],
                                          options_.service_model);
       report.estimate_available[i] = estimate.has_value();
       // A computer that received no jobs cannot be verified; the mechanism

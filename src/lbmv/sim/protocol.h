@@ -13,6 +13,14 @@
 ///      them                                                 (n messages)
 /// for a total of 3n = O(n) messages, matching the paper's claim.
 ///
+/// Step 3 runs the event-free two-pass simulation of fcfs.h (a Poisson
+/// source pass, then one Lindley pass per FCFS server), which reproduces
+/// the calendar-queue event loop (Simulation + Server + JobSource) bit for
+/// bit on the same seed; those classes remain the reference it is tested
+/// against.  With recording on, the round adds the event loop's counts
+/// (events per kind, jobs, per-server arrivals, completions and waiting
+/// times) to the registry in one batch per family.
+///
 /// The round report carries both the payment computed from the *estimated*
 /// execution values (what a real deployment can do) and from the *exact*
 /// ones (the paper's oracle assumption), so benches can quantify the cost

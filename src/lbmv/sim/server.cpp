@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "lbmv/obs/obs.h"
+#include "lbmv/sim/fcfs.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::sim {
@@ -80,19 +81,7 @@ void Server::begin_service() {
                  queue_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  double service = mean_service_;
-  switch (model_) {
-    case ServiceModel::kExponential:
-      service = rng_.exponential(1.0 / mean_service_);
-      break;
-    case ServiceModel::kDeterministic:
-      break;
-    case ServiceModel::kErlang2:
-      // Sum of two exponentials with mean m/2 each.
-      service = rng_.exponential(2.0 / mean_service_) +
-                rng_.exponential(2.0 / mean_service_);
-      break;
-  }
+  const double service = draw_service_time(rng_, model_, mean_service_);
   in_service_ = job;
   service_start_ = sim_->now();
   service_duration_ = service;

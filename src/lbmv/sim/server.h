@@ -13,21 +13,28 @@
 /// sqrt(t~ / t).  The verification step can therefore recover t~ from the
 /// observed service times alone (rate_estimator.h).
 ///
-/// Hot-path design: the server is an EventSink — service completions are
-/// typed events, and the in-service job's (id, arrival, start, duration)
-/// live in server members rather than a per-event closure capture, so a
-/// steady-state run allocates nothing per job.  The job queue and the
-/// completion log are flat per-server arenas (reserve() pre-sizes them,
-/// reset() recycles them across replications without freeing).
+/// The server is an EventSink: service completions are typed events, and
+/// the in-service job's (id, arrival, start, duration) live in server
+/// members rather than a per-event closure capture, so a steady-state run
+/// allocates nothing per job.  The job queue and the completion log are
+/// flat per-server arenas (reserve() pre-sizes them, reset() recycles them
+/// across replications without freeing).  Service times come from
+/// draw_service_time (fcfs.h).
+///
+/// The protocol round does not run this class: serve_fcfs (fcfs.h)
+/// computes the same completion log by Lindley's recursion with the same
+/// draw function.  Server is the event-loop reference that test_fcfs_pass,
+/// test_sim_determinism and the end-to-end benchmark's composed round
+/// check the event-free pass against, and it serves callers that drive
+/// their own Simulation.
 ///
 /// Telemetry: a server constructed while obs::enabled() tallies its
 /// arrivals locally and remembers which completions it has not yet
 /// reported; the flush adds both counts and batch-records those
 /// completions' waiting times into its labelled families.  It flushes
 /// every kTelemetryFlushEvery arrivals or completions, in reset() and on
-/// destruction — so a protocol round's counts land when its servers go —
-/// and whatever was tallied while recording was on lands even if
-/// recording is switched off before the flush.
+/// destruction, and whatever was tallied while recording was on lands
+/// even if recording is switched off before the flush.
 
 #include <cstdint>
 #include <string>

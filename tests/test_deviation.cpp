@@ -472,4 +472,59 @@ TEST(DeviationValidation, RejectsBadConstructionAndQueries) {
                lbmv::util::PreconditionError);
 }
 
+TEST(DeviationValidation, ContextsRejectOutOfRangeAgentsTyped) {
+  // Every ProfileUtilityContext entry point takes a caller's agent index:
+  // out of range is a PreconditionError naming the index and the size, on
+  // each of the three contexts.
+  namespace alloc = lbmv::alloc;
+  namespace model = lbmv::model;
+  using lbmv::core::BidDelta;
+  using lbmv::util::PreconditionError;
+  const struct {
+    const char* name;
+    std::shared_ptr<const model::LatencyFamily> family;
+    std::shared_ptr<const alloc::Allocator> allocator;
+  } pairings[] = {
+      {"linear+pr", std::make_shared<const model::LinearFamily>(),
+       std::make_shared<const alloc::PRAllocator>()},
+      {"mm1+mm1", std::make_shared<const model::MM1Family>(),
+       std::make_shared<const alloc::MM1Allocator>()},
+      {"workload+workload", std::make_shared<const model::WorkloadFamily>(0.5),
+       std::make_shared<const alloc::WorkloadAllocator>()},
+  };
+  const std::vector<double> types{1.0, 1.25, 1.5};
+  const BidProfile base = BidProfile::truthful(SystemConfig(types, 0.4));
+  const std::vector<double> grid{0.9, 1.0, 1.1};
+  std::vector<double> out(grid.size());
+  for (const auto& p : pairings) {
+    SCOPED_TRACE(p.name);
+    const CompBonusMechanism mechanism(p.allocator);
+    const auto context = mechanism.make_profile_context(*p.family, 0.4, base);
+    ASSERT_NE(context, nullptr);
+    try {
+      (void)context->utility(7, 1.0, 1.0);
+      ADD_FAILURE() << "utility accepted agent 7 of 3";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("agent index 7"), std::string::npos) << what;
+      EXPECT_NE(what.find("3 agents"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)context->utility(3, 1.0, 1.0), PreconditionError);
+    EXPECT_THROW(context->grid_utilities_into(7, grid, 1.0, out),
+                 PreconditionError);
+    EXPECT_THROW((void)context->grid_best(7, grid, 1.0), PreconditionError);
+    EXPECT_THROW(context->commit(7, 1.0, 1.0), PreconditionError);
+    // A batch with one bad delta is rejected whole.
+    const std::vector<BidDelta> batch{{0, 1.1, 1.1}, {7, 1.0, 1.0}};
+    EXPECT_THROW(context->commit_batch(batch), PreconditionError);
+    EXPECT_EQ(context->profile().bids, base.bids);
+    EXPECT_EQ(context->profile().executions, base.executions);
+    // The deviation evaluator over the same family and allocator.
+    DeviationEvaluator evaluator(mechanism,
+                                 SystemConfig(types, 0.4, p.family), base);
+    EXPECT_THROW((void)evaluator.utility(7, 1.0, 1.0), PreconditionError);
+    EXPECT_THROW(evaluator.commit(7, 1.0, 1.0), PreconditionError);
+  }
+}
+
 }  // namespace

@@ -14,11 +14,13 @@
 //   * audit_all_legacy         full mechanism re-run per grid point
 //                              (n <= 256: the quadratic path is the point)
 //
-// plus a `sim_throughput` section comparing the typed calendar-queue event
-// loop (engine.h) with the preserved seed std::function loop
-// (legacy_engine.h) in the same run: pure dispatch events/sec at several
-// pending-event populations, full queueing-stack events/sec, and
-// replications/sec at 1/4/8 pool threads,
+// plus a `sim_throughput` section: the protocol round's execution step at
+// the end-to-end protocol configuration through the typed calendar-queue
+// event loop (engine.h + Server + JobSource) and through the event-free
+// two passes (fcfs.h) in paired windows of the same run, with a
+// bit-identity check of their completion logs that gates the exit code;
+// the full run adds the typed loop's pure dispatch events/sec at several
+// pending-event populations and replications/sec at 1/4/8 pool threads,
 //
 // plus an `obs_overhead` section measuring the observability layer's cost
 // on the same dispatch ring: events/sec with recording off (probes are one
@@ -68,8 +70,14 @@
 // trusting prose notes that drift.  Run configuration (arrival rate, smoke
 // mode) is nested under a `config` object, never as stray top-level keys.
 //
+// Ratios that CI gates (deviation_grid's serial speedup, obs_timeseries'
+// telemetry cost) are the median per-pair ratio over 5 (smoke) or 7 paired
+// timing windows, so one disturbed window on a shared host cannot move
+// them.
+//
 // `--smoke` shrinks every workload (CI-sized: n = 64, short timing
-// windows, sim_throughput skipped) while still emitting the obs_overhead
+// windows, sim_throughput keeping only its two-pass row) while still
+// emitting the obs_overhead
 // (64-pending ring and protocol_round only), strategy_throughput,
 // batch_round_throughput, deviation_grid, obs_timeseries,
 // and nonlinear_round sections (deviation_grid keeping its n = 256 row and
@@ -80,6 +88,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <fstream>
 #include <limits>
@@ -104,8 +113,8 @@
 #include "lbmv/obs/obs.h"
 #include "lbmv/obs/sampler.h"
 #include "lbmv/sim/engine.h"
+#include "lbmv/sim/fcfs.h"
 #include "lbmv/sim/job_source.h"
-#include "lbmv/sim/legacy_engine.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/sim/replication.h"
 #include "lbmv/sim/server.h"
@@ -217,6 +226,40 @@ double seconds_per_call(F&& f, double min_seconds = 0.2, int min_reps = 5) {
   return elapsed / reps;
 }
 
+/// Median of \p v (the upper median for an even count).
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+/// Two timed paths compared on a shared host.  \p time_a and \p time_b each
+/// time one window and return seconds per call; they run back to back
+/// \p repeats times, alternating which goes first, and the ratio is the
+/// median of the per-pair ratios a / b, so load that drifts across the run
+/// cancels within a pair and one disturbed pair cannot move the result.
+struct PairedTiming {
+  double a_seconds;  ///< median seconds per call of path a
+  double b_seconds;  ///< median seconds per call of path b
+  double a_over_b;   ///< median of the per-pair ratios
+};
+
+template <typename A, typename B>
+PairedTiming paired_timing(A&& time_a, B&& time_b, int repeats) {
+  std::vector<double> a, b, ratio;
+  for (int k = 0; k < repeats; ++k) {
+    if (k % 2 == 0) {
+      a.push_back(time_a());
+      b.push_back(time_b());
+    } else {
+      b.push_back(time_b());
+      a.push_back(time_a());
+    }
+    ratio.push_back(a.back() / b.back());
+  }
+  return {median(a), median(b), median(ratio)};
+}
+
 /// Exact leave-one-out baseline for the workload family: one warm-started
 /// Newton solve per rest set in BidProfile::without order — the O(n^2)
 /// loop alloc::workload_leave_one_out_into replaced, kept here as the
@@ -291,68 +334,102 @@ double typed_dispatch_events_per_sec(std::size_t ring) {
   return static_cast<double>(events) / seconds;
 }
 
-/// Seed-loop dispatch on the identical ring workload; each event is a
-/// std::function whose capture (object + Job + service time, 40 bytes)
-/// forces a heap allocation, as the seed server's completion lambda did.
-double function_dispatch_events_per_sec(std::size_t ring) {
-  struct Ticker {
-    lbmv::sim::legacy::Simulation* sim;
-    double increment;
-    std::size_t* budget;
-    lbmv::sim::Job job;
-    void tick() {
-      if (*budget > 0) {
-        --*budget;
-        Ticker self = *this;
-        sim->schedule_after(increment, [self]() mutable { self.tick(); });
-      }
-    }
-  };
-  const std::size_t events = ring * 8;
-  const double seconds = seconds_per_call(
-      [&] {
-        lbmv::sim::legacy::Simulation sim;
-        std::size_t budget = events;
-        std::vector<Ticker> sinks(ring);
-        for (std::size_t i = 0; i < ring; ++i) {
-          sinks[i] = Ticker{&sim, ring_increment(i), &budget,
-                            lbmv::sim::Job{}};
-          sinks[i].tick();
-        }
-        budget += ring;  // priming consumed budget
-        sim.run();
-      },
-      0.5, 3);
-  return static_cast<double>(events) / seconds;
+/// The end-to-end protocol workload's system: n = 64 computers with types
+/// log-uniform in [0.01, 0.04] at R = 32.
+lbmv::model::SystemConfig protocol_workload_config() {
+  constexpr std::size_t n = 64;
+  lbmv::util::Rng rng(64);
+  std::vector<double> types(n);
+  for (double& t : types) t = 0.01 * std::pow(4.0, rng.uniform());
+  return lbmv::model::SystemConfig(types, 32.0);
 }
 
-/// Full queueing stack (Poisson source + FCFS servers) on either loop;
-/// returns events/sec.  Shared costs (RNG draws, queue bookkeeping)
-/// dominate here, so this understates the pure loop win by design.
-template <typename Sim, typename Server, typename Source>
-double stack_events_per_sec() {
-  const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
-  const std::vector<double> rates{2.0, 1.5, 1.0, 0.5};
-  std::size_t events = 0;
-  const double seconds = seconds_per_call(
-      [&] {
-        lbmv::util::Rng rng(11);
-        Sim sim;
-        std::vector<std::unique_ptr<Server>> servers;
-        std::vector<Server*> ptrs;
-        for (std::size_t i = 0; i < exec.size(); ++i) {
-          servers.push_back(std::make_unique<Server>(
-              sim, "C", exec[i], lbmv::sim::ServiceModel::kExponential,
-              rng.split(i + 1)));
-          ptrs.push_back(servers.back().get());
-        }
-        Source source(sim, ptrs, rates, 2000.0, rng.split(0));
-        source.start();
-        sim.run();
-        events = sim.processed();
-      },
-      0.5, 3);
-  return static_cast<double>(events) / seconds;
+/// The protocol round's execution step at the end-to-end protocol
+/// configuration (truthful PR allocation, exponential service, horizon
+/// 2000: ~64k jobs) through the event loop (Simulation + Server +
+/// JobSource, wired as the event-loop round wires them) and through the
+/// event-free two passes (simulate_fcfs), timed in paired windows in this
+/// same run.  \p identical reports whether both produced the same
+/// completion logs and busy times, bit for bit.
+JsonValue::Object fcfs_vs_event_loop(int repeats, double min_seconds,
+                                     bool& identical) {
+  const lbmv::model::SystemConfig config = protocol_workload_config();
+  const std::size_t n = config.size();
+  constexpr double horizon = 2000.0;
+  constexpr auto model = lbmv::sim::ServiceModel::kExponential;
+  const std::vector<double> rates =
+      lbmv::alloc::PRAllocator()
+          .allocate(config.family(), config.true_values(),
+                    config.arrival_rate())
+          .release();
+  const auto types = config.true_values();
+  constexpr std::uint64_t seed = 1;
+
+  // Filled by the untimed last call: copying the logs is not the loop's
+  // work.
+  std::vector<std::vector<lbmv::sim::Completion>> event_logs(n);
+  std::vector<double> event_busy(n);
+  std::uint64_t event_jobs = 0;
+  bool capture = false;
+  const auto event_loop = [&] {
+    const lbmv::util::Rng rng(seed);
+    lbmv::sim::Simulation sim;
+    std::vector<std::unique_ptr<lbmv::sim::Server>> servers;
+    std::vector<lbmv::sim::Server*> ptrs;
+    const double expected =
+        config.arrival_rate() * horizon / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      servers.push_back(std::make_unique<lbmv::sim::Server>(
+          sim, "C" + std::to_string(i + 1), types[i], model,
+          rng.split(i + 1)));
+      servers.back()->reserve(static_cast<std::size_t>(2.0 * expected) + 16);
+      ptrs.push_back(servers.back().get());
+    }
+    lbmv::sim::JobSource source(sim, ptrs, rates, horizon, rng.split(0));
+    source.start();
+    sim.run();
+    if (!capture) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      event_logs[i] = ptrs[i]->completions();
+      event_busy[i] = ptrs[i]->busy_time();
+    }
+    event_jobs = source.jobs_emitted();
+  };
+  lbmv::sim::FcfsRun fcfs;
+  const auto two_pass = [&] {
+    fcfs = lbmv::sim::simulate_fcfs(rates, types, model, horizon,
+                                    lbmv::util::Rng(seed));
+  };
+  const PairedTiming timing = paired_timing(
+      [&] { return seconds_per_call(event_loop, min_seconds, 3); },
+      [&] { return seconds_per_call(two_pass, min_seconds, 3); }, repeats);
+  capture = true;
+  event_loop();
+
+  identical = fcfs.jobs == event_jobs;
+  for (std::size_t i = 0; i < n && identical; ++i) {
+    const std::vector<lbmv::sim::Completion>& log = fcfs.completions[i];
+    identical =
+        log.size() == event_logs[i].size() &&
+        (log.empty() ||
+         std::memcmp(log.data(), event_logs[i].data(),
+                     log.size() * sizeof(lbmv::sim::Completion)) == 0) &&
+        std::memcmp(&fcfs.busy_time[i], &event_busy[i], sizeof(double)) == 0;
+  }
+  const double jobs = static_cast<double>(event_jobs);
+  JsonValue::Object row;
+  row["n"] = static_cast<double>(n);
+  row["arrival_rate"] = config.arrival_rate();
+  row["horizon"] = horizon;
+  row["jobs"] = jobs;
+  row["repeats"] = static_cast<double>(repeats);
+  row["event_loop_seconds_per_round"] = timing.a_seconds;
+  row["two_pass_seconds_per_round"] = timing.b_seconds;
+  row["event_loop_ns_per_job"] = 1e9 * timing.a_seconds / jobs;
+  row["two_pass_ns_per_job"] = 1e9 * timing.b_seconds / jobs;
+  row["speedup"] = timing.a_over_b;
+  row["bit_identical"] = identical;
+  return row;
 }
 
 // ---- batch round workloads -------------------------------------------------
@@ -433,11 +510,7 @@ double outcome_max_rel_err(const lbmv::core::MechanismOutcome& a,
 /// recording off and on alternate, first side swapped every pair, and the
 /// medians are compared.
 JsonValue::Object protocol_round_obs_overhead(int pairs) {
-  constexpr std::size_t n = 64;
-  lbmv::util::Rng rng(64);
-  std::vector<double> types(n);
-  for (double& t : types) t = 0.01 * std::pow(4.0, rng.uniform());
-  const lbmv::model::SystemConfig config(types, 32.0);
+  const lbmv::model::SystemConfig config = protocol_workload_config();
   const lbmv::core::CompBonusMechanism mechanism;
   lbmv::sim::ProtocolOptions options;
   options.horizon = 2000.0;
@@ -463,14 +536,10 @@ JsonValue::Object protocol_round_obs_overhead(int pairs) {
     off.push_back(timed_round(false, seed));
     if (!on_first) on.push_back(timed_round(true, seed));
   }
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
   const double off_s = median(off);
   const double on_s = median(on);
   JsonValue::Object row;
-  row["n"] = static_cast<double>(n);
+  row["n"] = static_cast<double>(config.size());
   row["arrival_rate"] = config.arrival_rate();
   row["horizon"] = options.horizon;
   row["pairs"] = static_cast<double>(pairs);
@@ -588,44 +657,35 @@ int main(int argc, char** argv) {
               << audit_legacy_256 / audit_incremental_256 << "x\n";
   }
 
-  // Simulation throughput: typed calendar-queue loop vs the seed
-  // std::function loop, measured back to back in this same run.
+  // Simulation throughput: the protocol round's execution step through
+  // the event loop and through the event-free two passes, paired in this
+  // same run and checked bit for bit (gates the exit code); the full run
+  // adds the typed loop's pure dispatch rate and replicated rounds/sec.
   JsonValue::Object sim_throughput;
+  bool sim_check_pass = true;
+  {
+    JsonValue::Object row =
+        fcfs_vs_event_loop(smoke ? 5 : 7, smoke ? 0.1 : 0.3, sim_check_pass);
+    std::cout << "sim two_pass vs event_loop n=64 jobs="
+              << row["jobs"].as_number() << ": event loop "
+              << row["event_loop_ns_per_job"].as_number() << " ns/job, two "
+              << "passes " << row["two_pass_ns_per_job"].as_number()
+              << " ns/job (" << row["speedup"].as_number() << "x), "
+              << (sim_check_pass ? "bit-identical" : "MISMATCH") << "\n";
+    sim_throughput["two_pass_vs_event_loop"] = std::move(row);
+  }
   if (!smoke) {
     JsonValue::Array dispatch;
-    double best_speedup = 0.0;
     for (std::size_t ring : {64ul, 4096ul, 65536ul}) {
       const double typed = typed_dispatch_events_per_sec(ring);
-      const double fn = function_dispatch_events_per_sec(ring);
       JsonValue::Object entry;
       entry["pending_events"] = static_cast<double>(ring);
       entry["typed_events_per_sec"] = typed;
-      entry["function_loop_events_per_sec"] = fn;
-      entry["speedup"] = typed / fn;
       dispatch.emplace_back(std::move(entry));
-      best_speedup = std::max(best_speedup, typed / fn);
       std::cout << "event_loop_dispatch pending=" << ring << ": typed "
-                << typed / 1e6 << "M ev/s, function-loop " << fn / 1e6
-                << "M ev/s (" << typed / fn << "x)\n";
+                << typed / 1e6 << "M ev/s\n";
     }
     sim_throughput["event_loop_dispatch"] = std::move(dispatch);
-    sim_throughput["event_loop_best_speedup"] = best_speedup;
-
-    const double stack_typed =
-        stack_events_per_sec<lbmv::sim::Simulation, lbmv::sim::Server,
-                             lbmv::sim::JobSource>();
-    const double stack_legacy =
-        stack_events_per_sec<lbmv::sim::legacy::Simulation,
-                             lbmv::sim::legacy::Server,
-                             lbmv::sim::legacy::JobSource>();
-    JsonValue::Object stack;
-    stack["typed_events_per_sec"] = stack_typed;
-    stack["function_loop_events_per_sec"] = stack_legacy;
-    stack["speedup"] = stack_typed / stack_legacy;
-    sim_throughput["full_stack"] = std::move(stack);
-    std::cout << "full_stack: typed " << stack_typed / 1e6
-              << "M ev/s, function-loop " << stack_legacy / 1e6 << "M ev/s ("
-              << stack_typed / stack_legacy << "x)\n";
 
     JsonValue::Array reps;
     for (std::size_t threads : {1ul, 4ul, 8ul}) {
@@ -638,15 +698,18 @@ int main(int argc, char** argv) {
       reps.emplace_back(std::move(entry));
     }
     sim_throughput["replicated_rounds"] = std::move(reps);
-    sim_throughput["hardware_concurrency"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-    sim_throughput["threads_used"] = 8.0;  // widest replication pool above
-    sim_throughput["note"] =
-        "dispatch = self-rescheduling sink ring (pure event-loop cost, no "
-        "RNG); full_stack shares RNG/queue bookkeeping between both loops, "
-        "so its ratio is diluted by design; replication scaling is bounded "
-        "by hardware_concurrency";
   }
+  sim_throughput["hardware_concurrency"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+  sim_throughput["threads_used"] = smoke ? 1.0 : 8.0;  // widest pool above
+  sim_throughput["note"] =
+      "two_pass_vs_event_loop runs the e2e protocol workload's execution "
+      "step (n=64, R=32, horizon 2000, exponential service, seed 1) through "
+      "Simulation+Server+JobSource and through sim::simulate_fcfs in paired "
+      "windows (speedup is the median per-pair ratio) and requires "
+      "memcmp-identical completion logs and busy times; dispatch is a "
+      "self-rescheduling sink ring (pure event-loop cost, no RNG); "
+      "replication scaling is bounded by hardware_concurrency";
 
   // Observability overhead on the pure dispatch ring: recording off must
   // track the plain typed numbers (same code path, probes compiled in but
@@ -1042,8 +1105,9 @@ int main(int argc, char** argv) {
   {
     using lbmv::strategy::DeviationEvaluator;
     const std::size_t grid_points = 1000;
-    const double tmin = smoke ? 0.05 : 0.3;
+    const double tmin = smoke ? 0.1 : 0.3;
     const int treps = smoke ? 2 : 3;
+    const int repeats = smoke ? 5 : 7;  // paired windows per ratio
     // Smoke keeps the n = 256 row: the CI perf-smoke check asserts the
     // >= 3x serial speedup there, so the gated configuration must exist in
     // the smoke document too (the sweep is milliseconds-scale).
@@ -1068,28 +1132,29 @@ int main(int argc, char** argv) {
             lbmv::strategy::GridSpacing::kLinear, grids[i]);
       }
       double sink = 0.0;  // consumed below so the sweeps cannot be elided
-      const double scalar_secs = seconds_per_call(
-          [&] {
-            for (std::size_t i = 0; i < n; ++i) {
-              const double t = config.true_value(i);
-              double best = -std::numeric_limits<double>::infinity();
-              for (double bid : grids[i]) {
-                const double u = evaluator.utility(i, bid, t);
-                if (u > best) best = u;
-              }
-              sink += best;
-            }
-          },
-          tmin, treps);
-      const double serial_secs = seconds_per_call(
-          [&] {
-            for (std::size_t i = 0; i < n; ++i) {
-              sink += evaluator
-                          .best_response(i, grids[i], config.true_value(i))
-                          .utility;
-            }
-          },
-          tmin, treps);
+      const auto scalar_sweep = [&] {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double t = config.true_value(i);
+          double best = -std::numeric_limits<double>::infinity();
+          for (double bid : grids[i]) {
+            const double u = evaluator.utility(i, bid, t);
+            if (u > best) best = u;
+          }
+          sink += best;
+        }
+      };
+      const auto vector_sweep = [&] {
+        for (std::size_t i = 0; i < n; ++i) {
+          sink += evaluator.best_response(i, grids[i], config.true_value(i))
+                      .utility;
+        }
+      };
+      const PairedTiming timing = paired_timing(
+          [&] { return seconds_per_call(scalar_sweep, tmin, treps); },
+          [&] { return seconds_per_call(vector_sweep, tmin, treps); },
+          repeats);
+      const double scalar_secs = timing.a_seconds;
+      const double serial_secs = timing.b_seconds;
       // Differential cross-check: vectorized utilities vs the scalar
       // oracle, every agent, every candidate.
       std::vector<double> utilities(grid_points);
@@ -1105,7 +1170,7 @@ int main(int argc, char** argv) {
       }
 
       const double evals = static_cast<double>(n * grid_points);
-      const double serial_speedup = scalar_secs / serial_secs;
+      const double serial_speedup = timing.a_over_b;
       if (n == 256) serial_speedup_n256 = serial_speedup;
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
@@ -1139,7 +1204,9 @@ int main(int argc, char** argv) {
         "same process (the differential oracle); vector rows ride the "
         "4-lane grid kernels (vector_backend) through "
         "DeviationEvaluator::best_response; both paths return "
-        "bit-identical argmaxes";
+        "bit-identical argmaxes; serial_speedup_vs_scalar is the median "
+        "per-pair ratio over paired windows (repeats)";
+    deviation_grid["repeats"] = static_cast<double>(repeats);
     std::cout << "deviation grid cross-check: max rel err " << max_err
               << " -> " << (grid_check_pass ? "pass" : "FAIL") << "\n";
   }
@@ -1154,8 +1221,9 @@ int main(int argc, char** argv) {
   bool obs_check_pass = true;
   {
     const std::size_t n = smoke ? 64 : 256;
-    const double tmin = smoke ? 0.05 : 0.3;
+    const double tmin = smoke ? 0.1 : 0.3;
     const int treps = smoke ? 2 : 3;
+    const int repeats = smoke ? 5 : 7;  // paired windows for the ratio
     const lbmv::core::CompBonusMechanism mechanism;
     const auto bids = random_types(n, 31);
     const auto execs = bids;  // consistent: arms the participation monitor
@@ -1170,13 +1238,21 @@ int main(int argc, char** argv) {
 
     lbmv::obs::Registry::global().reset();
     lbmv::obs::FlightRecorder::global().clear();
-    lbmv::obs::set_enabled(false);
-    const double disabled_secs = seconds_per_call(one_round, tmin, treps);
-    lbmv::obs::set_enabled(true);
-    const double enabled_secs = seconds_per_call(one_round, tmin, treps);
+    const auto timed_rounds = [&](bool recording) {
+      lbmv::obs::set_enabled(recording);
+      const double secs = seconds_per_call(one_round, tmin, treps);
+      lbmv::obs::set_enabled(false);
+      return secs;
+    };
+    const PairedTiming timing =
+        paired_timing([&] { return timed_rounds(true); },
+                      [&] { return timed_rounds(false); }, repeats);
+    const double enabled_secs = timing.a_seconds;
+    const double disabled_secs = timing.b_seconds;
 
     // Sampler cost: one scrape of the registry the run above populated
     // (shard merge + ring append per live metric).
+    lbmv::obs::set_enabled(true);
     lbmv::obs::TimeSeriesSampler sampler;
     const double sample_secs =
         seconds_per_call([&] { sampler.sample(); }, tmin, treps);
@@ -1199,8 +1275,8 @@ int main(int argc, char** argv) {
     obs_timeseries["n"] = static_cast<double>(n);
     obs_timeseries["disabled_rounds_per_sec"] = 1.0 / disabled_secs;
     obs_timeseries["enabled_rounds_per_sec"] = 1.0 / enabled_secs;
-    obs_timeseries["enabled_over_disabled_cost"] =
-        enabled_secs / disabled_secs;
+    obs_timeseries["enabled_over_disabled_cost"] = timing.a_over_b;
+    obs_timeseries["repeats"] = static_cast<double>(repeats);
     obs_timeseries["sampler_seconds_per_sample"] = sample_secs;
     obs_timeseries["sampled_series"] =
         static_cast<double>(sampler.series().size());
@@ -1216,14 +1292,15 @@ int main(int argc, char** argv) {
         "disabled/enabled time the identical single-round hot path with "
         "recording off (one relaxed load per probe and monitor site) and on "
         "(probes + the four round-invariant monitors live), so their ratio "
-        "is the runtime telemetry cost; sampler_seconds_per_sample is one "
+        "is the runtime telemetry cost (the median per-pair ratio over "
+        "paired windows, repeats); sampler_seconds_per_sample is one "
         "registry scrape into the ring-buffered timeseries; the gate "
         "requires every monitored round in the timed windows to be "
         "violation-free";
     std::cout << "obs_timeseries n=" << n << ": disabled "
               << 1.0 / disabled_secs << " rounds/s, enabled "
               << 1.0 / enabled_secs << " (cost "
-              << (enabled_secs / disabled_secs - 1.0) * 100.0
+              << (timing.a_over_b - 1.0) * 100.0
               << "%), sampler " << sample_secs * 1e6 << " us/sample, "
               << totals.checks << " checks / " << totals.violations
               << " violations -> " << (obs_check_pass ? "pass" : "FAIL")
@@ -1514,7 +1591,7 @@ int main(int argc, char** argv) {
   }
   doc["results"] = std::move(series);
   doc["derived"] = std::move(derived);
-  if (!smoke) doc["sim_throughput"] = std::move(sim_throughput);
+  doc["sim_throughput"] = std::move(sim_throughput);
   doc["obs_overhead"] = std::move(obs_overhead);
   doc["strategy_throughput"] = std::move(strategy_throughput);
   doc["batch_round_throughput"] = std::move(batch_round_throughput);
@@ -1541,6 +1618,10 @@ int main(int argc, char** argv) {
   }
   out << JsonValue(std::move(doc)).dump(2) << "\n";
   std::cout << "wrote " << output << "\n";
+  if (!sim_check_pass) {
+    std::cerr << "two-pass simulation vs event loop differential FAILED\n";
+    return 1;
+  }
   if (!cross_check_pass) {
     std::cerr << "strategy utilities cross-check FAILED\n";
     return 1;
